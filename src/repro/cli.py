@@ -21,7 +21,7 @@ re-renders a figure/table purely from such a store — zero engine
 invocations, byte-identical output (see ``docs/EXPERIMENTS_STORE.md``).
 
 ``serve`` runs the long-lived sweep service (asyncio job queue over
-the persistent pool and result store) and ``submit`` sends one job to
+the worker pool and result store) and ``submit`` sends one job to
 a running instance, rendering the returned result byte-identical to a
 local run (see ``docs/SERVICE.md``).
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.errors import ServiceError, StoreError
+from repro.errors import ConfigError, ServiceError, StoreError
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.report import render_series, render_table, to_csv
 from repro.experiments.runner import replay_session
@@ -95,22 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help=(
-            "fan sweep cells out across N worker processes (drivers "
-            "that support it; results are identical to a serial run). "
-            "Ignored while --metrics/--events collect telemetry, "
-            "which requires in-process execution"
-        ),
-    )
-    parser.add_argument(
-        "--pool",
-        choices=["persistent", "fork"],
-        default=None,
-        help=(
-            "parallel backend for --jobs: 'persistent' reuses a "
-            "process-lifetime shared-memory worker pool (chunked "
-            "dispatch, low per-cell overhead), 'fork' forks a fresh "
-            "process pool per sweep. Default: persistent (or "
-            "$REPRO_SWEEP_POOL)"
+            "fan sweep cells out across N >= 1 worker processes, at "
+            "most one per CPU (drivers that support it; results are "
+            "identical to a serial run). Ignored while "
+            "--metrics/--events collect telemetry, which requires "
+            "in-process execution"
         ),
     )
     parser.add_argument(
@@ -130,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "seed for drivers with stochastic injection schedules "
-            "(faults, chaos); replaying a seed replays the identical "
+            "(faults); replaying a seed replays the identical "
             "schedule. Ignored by deterministic drivers"
         ),
     )
@@ -238,7 +227,7 @@ def _run_serve(args) -> None:
         )
     config = ServiceConfig(
         max_queue=args.queue,
-        jobs=max(args.jobs, 1),
+        jobs=args.jobs,
         store=args.store,
     )
     run_server(host=args.host, port=args.port, config=config)
@@ -282,6 +271,8 @@ def _run_submit(args) -> None:
 
 
 def _run_all(args) -> None:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     if args.experiment == "replay":
         _run_replay(args)
         return
@@ -305,8 +296,6 @@ def _run_all(args) -> None:
         kwargs = {}
         if args.jobs > 1 and getattr(driver, "supports_jobs", False):
             kwargs["jobs"] = args.jobs
-            if args.pool is not None:
-                kwargs["pool"] = args.pool
         if args.store is not None and getattr(
             driver, "supports_store", False
         ):
@@ -331,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
                 write_events(args.events, tel)
         else:
             _run_all(args)
-    except (ServiceError, StoreError) as exc:
+    except (ConfigError, ServiceError, StoreError) as exc:
         print(f"repro-knl: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -566,7 +566,6 @@ def run_faults(
     seed: int = 42,
     intensities: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 0.9),
     jobs: int = 1,
-    pool: str | None = None,
 ) -> ExperimentResult:
     """Degradation report: resilient chunked MLM-sort vs monolithic GNU.
 
@@ -585,7 +584,7 @@ def run_faults(
     cells = [
         (n, megachunk, seed, intensity) for intensity in intensities
     ]
-    results = sweep_map(_fault_cell, cells, jobs=jobs, pool=pool)
+    results = sweep_map(_fault_cell, cells, jobs=jobs)
     # Normalize slowdowns against the lowest intensity actually run —
     # not a hard-coded 0.0, which silently degenerated every slowdown
     # column to 1.0 whenever the caller's sweep did not include it.
@@ -654,9 +653,7 @@ def _energy_cell(variant: str, n: int) -> tuple[float, dict]:
     return res.elapsed, dict(res.traffic)
 
 
-def run_energy(
-    n: int = 2_000_000_000, jobs: int = 1, pool: str | None = None
-) -> ExperimentResult:
+def run_energy(n: int = 2_000_000_000, jobs: int = 1) -> ExperimentResult:
     """Energy and energy-delay product across the Table 1 variants.
 
     Idle power is charged only for devices present in each run (no NVM
@@ -664,10 +661,7 @@ def run_energy(
     :class:`~repro.simknl.energy.EnergyModel`).
     """
     raw = sweep_map(
-        _energy_cell,
-        [(variant, n) for variant in VARIANTS],
-        jobs=jobs,
-        pool=pool,
+        _energy_cell, [(variant, n) for variant in VARIANTS], jobs=jobs
     )
     results = [
         RunResult(elapsed=elapsed, traffic=traffic, phase_times=[])

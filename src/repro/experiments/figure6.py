@@ -23,7 +23,6 @@ def run_figure6(
     sizes: tuple[int, ...] = (2_000_000_000, 4_000_000_000, 6_000_000_000),
     orders: tuple[str, ...] = ("random", "reverse"),
     jobs: int = 1,
-    pool: str | None = None,
     store: Any | None = None,
 ) -> ExperimentResult:
     """Speedup of each variant over GNU-flat, per size and order."""
@@ -38,7 +37,7 @@ def run_figure6(
             cells,
             sweep_map(
                 sort_variant_seconds, cells,
-                jobs=jobs, pool=pool, store=store,
+                jobs=jobs, store=store,
             ),
         )
     )

@@ -75,7 +75,6 @@ def run_figure8(
     copy_threads: tuple[int, ...] = DEFAULT_COPY_THREADS,
     total_threads: int = 256,
     jobs: int = 1,
-    pool: str | None = None,
     store: Any | None = None,
 ) -> ExperimentResult:
     """Model (8a) and empirical (8b) time curves."""
@@ -92,7 +91,7 @@ def run_figure8(
         for (r, p, _), (model_t, emp_t) in zip(
             cells,
             sweep_map(
-                _figure8_cell, cells, jobs=jobs, pool=pool, store=store
+                _figure8_cell, cells, jobs=jobs, store=store
             ),
         )
     ]

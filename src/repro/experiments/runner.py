@@ -19,13 +19,11 @@ import json
 import os
 import re
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import AllocationError, ConfigError, StoreMissError
-from repro.experiments.pool import cost_key
 from repro.algorithms.costs import SortCostModel
 from repro.algorithms.mlm_sort import MLMSortConfig, mlm_sort_plan
 from repro.algorithms.parallel_sort import gnu_sort_plan
@@ -132,6 +130,15 @@ def config_hash(payload: Any) -> str:
         separators=(",", ":"),
     )
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def cost_key(fn: Callable[..., Any]) -> str:
+    """Stable per-cell-function identity for memo and store keys.
+
+    Every ``config_hash((cost_key(fn), cell))`` is built on it, so it
+    must not change: a different name would orphan every stored entry.
+    """
+    return getattr(fn, "__qualname__", None) or repr(fn)
 
 
 #: Process-wide memo for :func:`sweep_map` (config hash -> result).
@@ -250,33 +257,11 @@ def _replay_lookup(
     return results
 
 
-#: Parallel backends :func:`sweep_map` can fan cells out through.
-SWEEP_POOLS = ("persistent", "fork")
-
-
-def default_pool() -> str:
-    """The parallel backend used when ``pool`` is not given.
-
-    ``persistent`` (the shared-memory worker pool in
-    :mod:`repro.experiments.pool`) unless the ``REPRO_SWEEP_POOL``
-    environment variable selects ``fork``.
-    """
-    backend = os.environ.get("REPRO_SWEEP_POOL", "persistent")
-    if backend not in SWEEP_POOLS:
-        raise ConfigError(
-            f"REPRO_SWEEP_POOL must be one of {SWEEP_POOLS}, "
-            f"got {backend!r}"
-        )
-    return backend
-
-
 def sweep_map(
     fn: Callable[..., Any],
     cells: Sequence[tuple],
     jobs: int = 1,
     memo: dict[str, Any] | None = None,
-    pool: str | None = None,
-    chaos: Any | None = None,
     store: ResultStore | str | os.PathLike | None = None,
 ) -> list[Any]:
     """Map ``fn`` over independent sweep cells, optionally in parallel.
@@ -292,24 +277,12 @@ def sweep_map(
         bit-identical to the serial one.
     jobs:
         Worker processes. ``1`` (the default) runs serially in this
-        process.
+        process; more map the computed cells on the process-lifetime
+        pool (:func:`repro.experiments.pool.get_pool`).
     memo:
         Optional explicit memo dict (config hash -> result). Defaults
         to a process-wide cache, so re-running a sweep with overlapping
         cells (e.g. ``repro-knl all``) skips finished work.
-    pool:
-        Parallel backend for ``jobs > 1``: ``"persistent"`` reuses the
-        process-lifetime shared-memory worker pool
-        (:mod:`repro.experiments.pool`, chunked dispatch, cheap per-cell
-        overhead), ``"fork"`` forks a fresh
-        :class:`~concurrent.futures.ProcessPoolExecutor` per call (one
-        pickle round-trip per cell). ``None`` uses :func:`default_pool`.
-    chaos:
-        Optional :class:`repro.experiments.chaos.HarnessFaultInjector`
-        injecting harness faults into the sweep's workers. Requires
-        ``jobs > 1`` and the persistent backend, and bypasses both
-        memo tiers entirely — a chaos run must exercise real
-        dispatches, not cache hits.
     store:
         On-disk second memo tier: a
         :class:`~repro.experiments.store.ResultStore` or a directory
@@ -347,32 +320,10 @@ def sweep_map(
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if pool is not None and pool not in SWEEP_POOLS:
-        raise ConfigError(
-            f"pool must be one of {SWEEP_POOLS}, got {pool!r}"
-        )
-    # The memo and the pool's cost model key functions identically
-    # (cost_key), so "same function" means the same thing to cached
-    # results and to observed timings.
     name = cost_key(fn)
     replay = _REPLAY.get()
     if replay is not None:
         return _replay_lookup(replay, name, cells)
-    if chaos is not None:
-        if jobs < 2:
-            raise ConfigError(
-                "chaos injection needs jobs > 1: harness faults hit "
-                "worker processes, and a serial sweep has none"
-            )
-        backend = pool or default_pool()
-        if backend != "persistent":
-            raise ConfigError(
-                "chaos injection targets the persistent pool; "
-                f"pool={backend!r} is not supported"
-            )
-        from repro.experiments.pool import get_pool
-
-        return get_pool(jobs).map(fn, list(cells), chaos=chaos)
     tier2 = get_store(store) if store is not None else default_store()
     if memo is None:
         memo = _SWEEP_MEMO
@@ -430,8 +381,8 @@ def sweep_map(
             # NumPy ops, bit-identical to per-cell ``fn`` calls
             # (:mod:`repro.simknl.batch`). Cells whose ``build``
             # declines fall through to the pool/serial dispatch below.
-            # Chaos, replay, and telemetry sweeps never reach this
-            # branch — they are handled (and fall back) above.
+            # Replay and telemetry sweeps never reach this branch —
+            # they are handled (and fall back) above.
             from repro.simknl.batch import evaluate_plan_batch
 
             batched, leftover = evaluate_plan_batch(
@@ -445,30 +396,9 @@ def sweep_map(
             indices = [indices[j] for j in leftover]
         if indices:
             if jobs > 1:
-                backend = pool or default_pool()
-                if backend == "persistent":
-                    from repro.experiments.pool import get_pool
+                from repro.experiments.pool import get_pool
 
-                    pool_obj = get_pool(jobs)
-                    if tier2 is not None:
-                        # Warm-start the EWMA cost model from the
-                        # store's sidecar so the first sweep of a new
-                        # process gets skew-aware chunking instead of
-                        # blind cold deadlines; persist afterwards for
-                        # the next process.
-                        pool_obj.warm_costs(tier2.root)
-                    computed = pool_obj.map(
-                        fn, [cells[i] for i in indices]
-                    )
-                    if tier2 is not None:
-                        pool_obj.persist_costs(tier2.root)
-                else:
-                    workers = min(jobs, len(indices), os.cpu_count() or 1)
-                    with ProcessPoolExecutor(max_workers=workers) as ex:
-                        futures = [
-                            ex.submit(fn, *cells[i]) for i in indices
-                        ]
-                        computed = [fut.result() for fut in futures]
+                computed = get_pool(jobs).map(fn, [cells[i] for i in indices])
             else:
                 computed = [fn(*cells[i]) for i in indices]
             computed_by_key.update(zip(pending_keys, computed))

@@ -13,9 +13,8 @@ without forking a CLI process per request. Three layers:
   cancellation and deterministic job IDs, and a signal-safe drain.
   Jobs execute on a small thread pool; each thread calls the ordinary
   experiment driver, so everything already proven bit-identical in
-  :func:`~repro.experiments.runner.sweep_map` — tensor batching, chaos
-  hardening, adaptive dispatch, the two-tier memo — is reused, not
-  reimplemented.
+  :func:`~repro.experiments.runner.sweep_map` — tensor batching, the
+  worker pool, the two-tier memo — is reused, not reimplemented.
 * :func:`start_server` / :func:`run_server` — a line-delimited-JSON
   over TCP protocol on stdlib :func:`asyncio.start_server` (no new
   dependencies). Verbs: ``submit``, ``status``, ``wait``, ``cancel``,
@@ -51,6 +50,7 @@ from typing import Any
 
 from repro.errors import (
     AdmissionError,
+    ConfigError,
     ServiceError,
     StoreMissError,
 )
@@ -90,7 +90,7 @@ CELL_WEIGHTS = {
 DEFAULT_CELL_WEIGHT = 16
 
 #: Infra kwargs the service owns; client params may not override them.
-_RESERVED_PARAMS = frozenset({"jobs", "pool", "store"})
+_RESERVED_PARAMS = frozenset({"jobs", "store"})
 
 
 @dataclass(frozen=True)
@@ -108,12 +108,12 @@ class ServiceConfig:
         Per-tenant bound on queued sweep-cell weight
         (:data:`CELL_WEIGHTS`).
     job_workers:
-        Threads executing jobs concurrently. Sweep dispatch inside the
-        persistent pool serializes on the pool's own lock, so this
-        bounds driver-level concurrency, not worker processes.
+        Threads executing jobs concurrently. Sweep dispatch on the
+        worker pool serializes on the pool's own lock, so this bounds
+        driver-level concurrency, not worker processes.
     jobs:
-        Worker processes requested from the persistent pool for
-        drivers that support ``jobs=``.
+        Worker processes requested from the worker pool for drivers
+        that support ``jobs=`` (at least 1).
     store:
         Result-store root backing every job's sweep memo (and the
         warm-store replay path). ``None`` disables tier 2.
@@ -123,7 +123,7 @@ class ServiceConfig:
     retry_after_s:
         Backoff hint attached to admission rejections.
     idle_reap_s:
-        Retire the persistent pool's workers after this much pool
+        Stop the worker pool's processes after this much pool
         idleness (``None`` disables the reaper).
     """
 
@@ -235,6 +235,8 @@ class SweepService:
             raise ServiceError("max_queue must be >= 1")
         if self.config.job_workers < 1:
             raise ServiceError("job_workers must be >= 1")
+        if self.config.jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {self.config.jobs}")
         self.telemetry = Telemetry()
         self.jobs: dict[str, Job] = {}
         self._queue: asyncio.Queue[Job | None] = asyncio.Queue()
@@ -268,9 +270,9 @@ class SweepService:
         Ordering matters: stop admitting first (new submissions get a
         structured ``draining`` rejection), cancel everything still
         queued, wait up to ``drain_timeout_s`` for running jobs, then
-        tear down the executor and the persistent pool — the pool
-        teardown is what unlinks the ``/dev/shm`` rings that a plain
-        SIGTERM (which skips ``atexit``) used to leak.
+        tear down the executor and the worker pool, so a service
+        embedded in a longer-lived process leaves no worker process
+        behind once drained.
         """
         if self._draining:
             return
@@ -468,7 +470,6 @@ class SweepService:
         kwargs = dict(params)
         if self.config.jobs > 1 and getattr(driver, "supports_jobs", False):
             kwargs["jobs"] = self.config.jobs
-            kwargs["pool"] = "persistent"
         if self.config.store is not None and getattr(
             driver, "supports_store", False
         ):
@@ -520,9 +521,8 @@ class SweepService:
     async def _reap_idle(self) -> None:
         """Periodically retire pool workers after sustained idleness.
 
-        A quiet service should not pin ``jobs`` worker processes (and
-        their shared-memory rings) forever; the pool respawns them on
-        the next sweep.
+        A quiet service should not pin ``jobs`` worker processes
+        forever; the pool starts them again on the next sweep.
         """
         limit = self.config.idle_reap_s
         assert limit is not None
@@ -689,7 +689,7 @@ async def _serve_async(
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGTERM, signal.SIGINT):
         # atexit does not run on SIGTERM, so without this a killed
-        # service leaks every worker's /dev/shm ring; the drain below
+        # service would leave its pool workers behind; the drain below
         # is the signal-safe teardown path.
         loop.add_signal_handler(sig, stop.set)
     await stop.wait()

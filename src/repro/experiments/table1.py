@@ -19,7 +19,6 @@ def run_table1(
     sizes: tuple[int, ...] = (2_000_000_000, 4_000_000_000, 6_000_000_000),
     orders: tuple[str, ...] = ("random", "reverse"),
     jobs: int = 1,
-    pool: str | None = None,
     store: Any | None = None,
 ) -> ExperimentResult:
     """Reproduce Table 1 on the simulated node."""
@@ -30,7 +29,7 @@ def run_table1(
         for variant in VARIANTS
     ]
     times = sweep_map(
-        sort_variant_seconds, cells, jobs=jobs, pool=pool, store=store
+        sort_variant_seconds, cells, jobs=jobs, store=store
     )
     rows = []
     for (variant, n, order, _), sim in zip(cells, times):

@@ -64,13 +64,12 @@ def run_table3(
     repeats: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64),
     total_threads: int = 256,
     jobs: int = 1,
-    pool: str | None = None,
     store: Any | None = None,
 ) -> ExperimentResult:
     """Model-predicted and simulator-empirical optimal copy threads."""
     cells = [(r, total_threads) for r in repeats]
     optima = sweep_map(
-        _table3_cell, cells, jobs=jobs, pool=pool, store=store
+        _table3_cell, cells, jobs=jobs, store=store
     )
     rows = []
     for r, (model_p, emp_p) in zip(repeats, optima):

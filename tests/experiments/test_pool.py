@@ -1,23 +1,19 @@
-"""Tests for the persistent shared-memory sweep pool."""
+"""Tests for the process-lifetime sweep worker pool."""
 
 from __future__ import annotations
 
 import os
-import time
 
 import pytest
 
 from repro.errors import ConfigError, RetryExhaustedError
-from repro.experiments import pool as pool_mod
 from repro.experiments.pool import (
-    MAX_CHUNK_CELLS,
     PersistentPool,
+    current_pool,
     get_pool,
     shutdown_pool,
 )
 from repro.experiments.runner import sweep_map
-from repro.telemetry import names as tn
-from repro.telemetry import runtime as _tm
 
 
 @pytest.fixture(autouse=True)
@@ -41,7 +37,7 @@ def _record(a: int, b: int) -> dict:
 
 
 def _mixed(a: int, b: int) -> tuple:
-    return (a * 1.0, b, a > b)  # int + bool force the pickle path
+    return (a * 1.0, b, a > b)
 
 
 def _boom(a: int, b: int) -> float:
@@ -56,9 +52,8 @@ def _exit_hard(a: int, b: int) -> float:
     return float(a + b)
 
 
-def _sleepy(i: int, s: float) -> float:
-    time.sleep(s)
-    return i * 1.0 + s
+def _pid(a: int, b: int) -> int:
+    return os.getpid()
 
 
 class TestDeterminism:
@@ -86,46 +81,41 @@ class TestDeterminism:
         # int stays int, bool stays bool — no float64 coercion.
         assert type(mixed[0][1]) is int and type(mixed[0][2]) is bool
 
-    def test_transport_accounting(self):
-        pool = get_pool(2)
-        pool.map(_scalar, [(i, 0) for i in range(8)])
-        assert pool.stats.shm_results > 0
-        pool.map(_record, [(i, 0) for i in range(8)])
-        assert pool.stats.pickle_results > 0
-
     def test_sweep_map_parallel_matches_serial(self):
         cells = [(i, i) for i in range(10)]
         serial = sweep_map(_scalar, cells, memo={})
-        par = sweep_map(
-            _scalar, cells, jobs=4, memo={}, pool="persistent"
-        )
+        par = sweep_map(_scalar, cells, jobs=4, memo={})
         assert par == serial
 
     def test_small_chunks_interleave_correctly(self):
         cells = [(i, 1) for i in range(40)]
-        out = get_pool(3).map(_scalar, cells, chunk_cells=2)
+        out = get_pool(3).map(_scalar, cells)
         assert out == [_scalar(*c) for c in cells]
 
 
 class TestLifecycle:
     def test_workers_persist_across_maps(self):
         pool = get_pool(2)
-        pool.map(_scalar, [(1, 1)])
-        spawned = pool.stats.workers_spawned
-        pool.map(_scalar, [(2, 2), (3, 3)])
-        assert pool.stats.workers_spawned == spawned
+        cells = [(i, 0) for i in range(16)]
+        first = set(pool.map(_pid, cells))
+        second = set(pool.map(_pid, cells))
+        assert os.getpid() not in first
+        # A pool that restarted its workers per map would show more
+        # distinct worker pids than it has workers.
+        assert len(first | second) <= pool.size
 
     def test_get_pool_grows_but_reuses_singleton(self):
         small = get_pool(1)
         big = get_pool(4)
         assert big is small
-        assert big.size == 4
+        assert big.size == min(4, os.cpu_count() or 1)
+        assert big.map(_scalar, [(2, 2)]) == [_scalar(2, 2)]
 
     def test_shutdown_then_get_pool_respawns(self):
         first = get_pool(1)
         first.map(_scalar, [(1, 1)])
         shutdown_pool()
-        assert not first.alive
+        assert current_pool() is None
         second = get_pool(1)
         assert second is not first
         assert second.map(_scalar, [(5, 5)]) == [_scalar(5, 5)]
@@ -134,65 +124,16 @@ class TestLifecycle:
         with pytest.raises(ConfigError):
             PersistentPool(0)
 
-    def test_chunk_size_bounds(self):
-        pool = PersistentPool(2)
-        assert pool.chunk_size(1) == 1
-        assert pool.chunk_size(10_000) == MAX_CHUNK_CELLS
-        assert pool.chunk_size(16) == 2  # ~4 chunks per worker
-
-
-class TestChunkTaper:
-    """Trailing chunk sizes halve toward the end of the sweep, so one
-    expensive tail cell serializes at most a small final chunk."""
-
-    def test_spans_cover_cells_exactly_once(self):
-        for ncells in (1, 2, 5, 16, 63, 64, 65, 256, 1000):
-            for step in (1, 2, 7, 64):
-                spans = PersistentPool.chunk_spans(ncells, step)
-                covered = [i for lo, hi in spans for i in range(lo, hi)]
-                assert covered == list(range(ncells)), (ncells, step)
-
-    def test_tail_tapers_to_one(self):
-        spans = PersistentPool.chunk_spans(256, 64)
-        sizes = [hi - lo for lo, hi in spans]
-        assert sizes[:3] == [64, 64, 64]  # bulk keeps full chunks
-        assert sizes[3:] == [32, 16, 8, 4, 2, 1, 1]  # halving tail
-        assert sizes[-1] == 1
-
-    def test_taper_never_exceeds_step(self):
-        for ncells, step in ((500, 64), (130, 64), (40, 8)):
-            sizes = [
-                hi - lo
-                for lo, hi in PersistentPool.chunk_spans(ncells, step)
-            ]
-            assert max(sizes) <= step
-            assert min(sizes) >= 1
-            # the final chunk is always small: an expensive tail cell
-            # cannot serialize a full-size chunk behind it
-            assert sizes[-1] == 1
-
-    def test_deterministic(self):
-        assert PersistentPool.chunk_spans(777, 64) == (
-            PersistentPool.chunk_spans(777, 64)
-        )
-
-    def test_map_results_unaffected_by_taper(self):
-        cells = [(i, 3) for i in range(130)]
-        pool = get_pool(4)
-        out = pool.map(_scalar, cells)
-        assert out == [_scalar(*c) for c in cells]
-        # stats recorded the tapered sizes (bounded summary, not a list)
-        assert pool.stats.chunk_cells.min == 1
-        assert pool.stats.chunk_cells.max == pool.chunk_size(len(cells))
-        assert pool.stats.chunk_cells.total == len(cells)
-        assert pool.stats.chunk_cells.count == pool.stats.chunks
+    def test_size_clamped_to_cpu_count(self):
+        # Constructing the pool starts no process; only map() does.
+        assert get_pool(10**6).size <= (os.cpu_count() or 1)
 
 
 class TestFailure:
     def test_cell_exception_propagates(self):
         pool = get_pool(2)
         with pytest.raises(ValueError, match="exploded"):
-            pool.map(_boom, [(i, 0) for i in range(6)], chunk_cells=1)
+            pool.map(_boom, [(i, 0) for i in range(6)])
 
     def test_pool_usable_after_cell_exception(self):
         pool = get_pool(2)
@@ -202,255 +143,38 @@ class TestFailure:
 
     def test_killed_worker_is_respawned_and_sweep_completes(self):
         pool = get_pool(2)
-        pool.map(_scalar, [(i, 0) for i in range(4)])  # spawn workers
-        victim = pool._workers[0].process
-        victim.kill()
-        victim.join(timeout=5)
+        before = set(pool.map(_pid, [(i, 0) for i in range(4)]))
+        with pytest.raises(RetryExhaustedError):
+            pool.map(_exit_hard, [(i, 0) for i in range(4)])
+        # The broken workers were dropped: the next sweep starts fresh.
         cells = [(i, 1) for i in range(32)]
-        out = pool.map(_scalar, cells, chunk_cells=2)
-        assert out == [_scalar(*c) for c in cells]
-        assert pool.stats.respawns >= 1
+        assert pool.map(_scalar, cells) == [_scalar(*c) for c in cells]
+        assert not set(pool.map(_pid, [(i, 0) for i in range(4)])) & before
 
     def test_crash_loop_raises_retry_exhausted(self):
         pool = get_pool(2)
-        with pytest.raises(RetryExhaustedError) as excinfo:
-            pool.map(_exit_hard, [(2, 0)])
-        assert excinfo.value.attempts == pool_mod._MAX_CHUNK_ATTEMPTS
-        assert not pool.alive  # crash loop tears the pool down
+        for _ in range(2):
+            with pytest.raises(RetryExhaustedError) as excinfo:
+                pool.map(_exit_hard, [(2, 0)])
+            assert excinfo.value.attempts == 1
+            assert "_exit_hard" in str(excinfo.value)
 
 
 class TestMemoIntegration:
     def test_memo_warm_through_skips_redispatch(self):
         memo: dict = {}
         cells = [(i, 1) for i in range(8)]
-        first = sweep_map(
-            _scalar, cells, jobs=2, memo=memo, pool="persistent"
-        )
-        pool = pool_mod._POOL
-        assert pool is not None
-        dispatched = pool.stats.cells
-        second = sweep_map(
-            _scalar, cells, jobs=2, memo=memo, pool="persistent"
-        )
+        first = sweep_map(_scalar, cells, jobs=2, memo=memo)
+        assert current_pool() is not None
+        shutdown_pool()
+        second = sweep_map(_scalar, cells, jobs=2, memo=memo)
         assert second == first
-        assert pool.stats.cells == dispatched  # all cells memo hits
+        assert current_pool() is None  # all cells memo hits
 
     def test_memo_warm_across_functions_sharing_cells(self):
         memo: dict = {}
-        sweep_map(_scalar, [(1, 1)], jobs=2, memo=memo, pool="persistent")
+        sweep_map(_scalar, [(1, 1)], jobs=2, memo=memo)
         # Different fn, same cell: distinct key, so it must compute.
-        out = sweep_map(
-            _pair, [(1, 1)], jobs=2, memo=memo, pool="persistent"
-        )
+        out = sweep_map(_pair, [(1, 1)], jobs=2, memo=memo)
         assert out == [_pair(1, 1)]
         assert len(memo) == 2
-
-
-class TestCostModel:
-    """The per-function EWMA cost model behind deadlines and sizing."""
-
-    def test_estimates_are_per_function(self):
-        pool = PersistentPool(2)
-        pool._observe_chunk("cheap", 4e-4, 1e-4, 4)
-        pool._observe_chunk("heavy", 40.0, 10.0, 4)
-        assert pool._deadline_s("cheap", 4) < pool._deadline_s("heavy", 4)
-        # A cheap function's deadline stays at the floor even after a
-        # heavy function trained the model.
-        assert pool._deadline_s("cheap", 1) == pool.min_deadline_s
-
-    def test_cross_sweep_contamination_fixed(self):
-        # The bug this guards against: thousands of microsecond cells
-        # (a table2-style sweep) used to train one pool-lifetime
-        # scalar EWMA, handing the next sweep's heavy cells deadlines
-        # orders of magnitude too tight. A function the model has not
-        # seen must always start from the cold deadline.
-        pool = PersistentPool(2)
-        for _ in range(50):
-            pool._observe_chunk("micro_cell", 8e-5, 1e-5, 8)
-        assert (
-            pool._deadline_s("figure7_cell", 8) == pool.cold_deadline_s
-        )
-
-    def test_deadline_covers_observed_peak_cell(self):
-        # One observed slow cell must keep deadlines above it, so a
-        # chunk containing the sweep's heavy cell does not expire
-        # spuriously even when the mean is small.
-        pool = PersistentPool(2, deadline_factor=2.0)
-        pool._observe_chunk("f", 0.6, 0.5, 64)  # mean ~9ms, peak 500ms
-        assert pool._deadline_s("f", 1) >= 2.0 * 0.5
-
-    def test_observation_uses_compute_time_not_queue_wait(self):
-        # With _PREFETCH=2 a single worker holds two chunks at once;
-        # the parent-side round trip of the queued chunk includes the
-        # running chunk's whole compute time. The estimate must come
-        # from worker-reported compute seconds instead.
-        pool = PersistentPool(1)
-        try:
-            cells = [(i, 0.05) for i in range(4)]
-            out = pool.map(_sleepy, cells, chunk_cells=1)
-            assert out == [i * 1.0 + 0.05 for i in range(4)]
-            cost = pool._cell_cost[pool_mod.cost_key(_sleepy)]
-            # True per-cell compute is ~50ms; the old send-to-receive
-            # measurement averaged ~2x that on a saturated worker.
-            assert 0.03 < cost.mean_s < 0.075
-        finally:
-            pool.shutdown()
-
-
-class TestAdaptiveSpans:
-    """Skew-measured chunk sizing with the static taper as fallback."""
-
-    KEY = "cell_fn"
-
-    def test_cold_model_falls_back_to_taper(self):
-        pool = PersistentPool(4)
-        assert pool.plan_spans(130, 9, self.KEY) == (
-            PersistentPool.chunk_spans(130, 9)
-        )
-
-    def test_calm_sweep_keeps_taper(self):
-        pool = PersistentPool(4)
-        for _ in range(4):  # uniform 30ms cells: skew ~1
-            pool._observe_chunk(self.KEY, 0.24, 0.03, 8)
-        assert pool.plan_spans(64, 8, self.KEY) == (
-            PersistentPool.chunk_spans(64, 8)
-        )
-
-    def test_microsecond_noise_never_engages(self):
-        # Tiny cells have noisy max/mean ratios; below the peak floor
-        # the skew signal is ignored no matter how large the ratio.
-        pool = PersistentPool(4)
-        pool._observe_chunk(self.KEY, 8e-5, 5e-5, 8)  # skew 5 but ~us
-        assert pool.plan_spans(64, 8, self.KEY) == (
-            PersistentPool.chunk_spans(64, 8)
-        )
-
-    def test_skewed_sweep_shrinks_chunks(self):
-        pool = PersistentPool(4)
-        # mean 10ms with a 400ms straggler cell: skew 40
-        pool._observe_chunk(self.KEY, 0.08, 0.4, 8)
-        pool._observe_chunk(self.KEY, 0.08, 0.01, 8)
-        spans = pool.plan_spans(96, 48, self.KEY)
-        sizes = [hi - lo for lo, hi in spans]
-        assert max(sizes) < 48
-        covered = [i for lo, hi in spans for i in range(lo, hi)]
-        assert covered == list(range(96))
-
-    def test_adaptive_off_pins_taper(self):
-        pool = PersistentPool(4, adaptive=False)
-        pool._observe_chunk(self.KEY, 0.08, 0.4, 8)
-        assert pool.plan_spans(96, 48, self.KEY) == (
-            PersistentPool.chunk_spans(96, 48)
-        )
-
-    def test_extreme_skew_floors_at_one_cell(self):
-        pool = PersistentPool(4)
-        pool._observe_chunk(self.KEY, 0.101, 0.1, 101)  # skew ~100
-        spans = pool.plan_spans(24, 8, self.KEY)
-        assert [hi - lo for lo, hi in spans] == [1] * 24
-
-
-class TestWorkStealing:
-    def test_idle_worker_steals_prefetched_backlog(self):
-        # Cell 0 is a 0.5s straggler; with chunk_cells=2 the straggler
-        # chunk and its queued neighbour both land on one worker. The
-        # other worker drains the rest of the sweep, goes idle, and
-        # must steal the queued chunk instead of letting it wait out
-        # the straggler (deadlines here are far too generous to help).
-        pool = PersistentPool(2, steal_min_s=0.05)
-        cells = [(0, 0.5)] + [(i, 0.01) for i in range(1, 8)]
-        try:
-            out = pool.map(_sleepy, cells, chunk_cells=2)
-        finally:
-            pool.shutdown()
-        assert out == [i * 1.0 + s for i, s in cells]
-        assert pool.stats.steals >= 1
-        # Stealing is reassignment, not speculation: nothing expired.
-        assert pool.stats.deadline_expiries == 0
-        assert pool.stats.speculative == 0
-
-    def test_stealing_disabled_with_adaptive_off(self):
-        pool = PersistentPool(2, adaptive=False, steal_min_s=0.05)
-        cells = [(0, 0.3)] + [(i, 0.01) for i in range(1, 8)]
-        try:
-            out = pool.map(_sleepy, cells, chunk_cells=2)
-        finally:
-            pool.shutdown()
-        assert out == [i * 1.0 + s for i, s in cells]
-        assert pool.stats.steals == 0
-
-
-class TestAutoscale:
-    def test_target_workers_unit(self):
-        pool = PersistentPool(8)
-        # Unknown function: no projection, full complement.
-        assert pool._target_workers("new_fn", 1000) == 8
-        # Known-cheap function: floor.
-        pool._observe_chunk("cheap", 1e-3, 1e-4, 10)
-        assert pool._target_workers("cheap", 100) == pool.min_workers
-        # Known-heavy function: ceiling.
-        pool._observe_chunk("heavy", 1.0, 0.5, 2)
-        assert pool._target_workers("heavy", 100) == 8
-
-    def test_autoscale_off_pins_size(self):
-        pool = PersistentPool(8, autoscale=False)
-        pool._observe_chunk("cheap", 1e-3, 1e-4, 10)
-        assert pool._target_workers("cheap", 100) == 8
-
-    def test_min_workers_clamped_to_size(self):
-        pool = PersistentPool(2, min_workers=16)
-        assert pool.min_workers == 2
-        with pytest.raises(ConfigError):
-            PersistentPool(2, min_workers=0)
-
-    def test_cheap_sweep_scales_down_to_floor(self):
-        pool = PersistentPool(4)
-        cells = [(i, 1) for i in range(32)]
-        serial = [_scalar(*c) for c in cells]
-        try:
-            assert pool.map(_scalar, cells) == serial
-            assert pool.stats.workers_spawned == 4  # cold: full size
-            assert pool.map(_scalar, cells) == serial
-            # Trained model projects ~nothing: the pool retires down
-            # to the floor instead of paying 4 pipes per sweep.
-            assert len(pool._workers) == pool.min_workers == 2
-            assert pool.stats.scaled_down >= 2
-        finally:
-            pool.shutdown()
-
-    def test_scales_back_up_when_cells_get_heavy(self):
-        pool = PersistentPool(4, scale_quantum_s=0.05)
-        try:
-            pool.map(_sleepy, [(i, 0.001) for i in range(8)])
-            cells = [(i, 0.08) for i in range(16)]
-            out = pool.map(_sleepy, cells, chunk_cells=1)
-            assert out == [i * 1.0 + 0.08 for i in range(16)]
-            # The stale-cheap projection started the sweep at the
-            # floor; observed 80ms cells must grow the pool mid-call.
-            assert pool.stats.scaled_up >= 1
-        finally:
-            pool.shutdown()
-
-
-class TestTelemetry:
-    def test_map_emits_sweep_metrics(self):
-        pool = get_pool(2)
-        with _tm.telemetry_session() as tel:
-            pool.map(_scalar, [(i, 0) for i in range(8)], chunk_cells=2)
-        snap = tel.metrics.snapshot()
-        assert snap[tn.SWEEP_CELLS_TOTAL]["series"][0]["value"] == 8.0
-        # 8 cells at chunk_cells=2 taper as 2,2,2,1,1 -> 5 chunks
-        assert snap[tn.SWEEP_CHUNKS_TOTAL]["series"][0]["value"] == 5.0
-        assert snap[tn.SWEEP_WORKERS]["series"][0]["value"] == 2.0
-        transports = {
-            tuple(s["labels"].items()): s["value"]
-            for s in snap[tn.SWEEP_RESULTS_TOTAL]["series"]
-        }
-        assert transports[(("transport", "shm"),)] == 5.0
-        assert snap[tn.SWEEP_DISPATCH_SECONDS_TOTAL]["series"][0][
-            "value"
-        ] > 0.0
-
-    def test_no_session_no_emission(self):
-        pool = get_pool(1)
-        pool.map(_scalar, [(1, 1)])  # must not raise without a session

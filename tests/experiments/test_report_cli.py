@@ -166,6 +166,17 @@ class TestCli:
         assert main(["table2", "--csv", "-"]) == 0
         assert "parameter,measured_gb" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["table2", "--jobs", "0"], ["energy", "--jobs", "-2"],
+         ["serve", "--jobs", "0", "--port", "0"]],
+    )
+    def test_jobs_below_one_rejected(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "--jobs must be >= 1" in captured.err
+        assert captured.out == ""
+
     def test_main_chart_mode(self, capsys):
         assert main(["figure7", "--chart"]) == 0
         assert "#" in capsys.readouterr().out

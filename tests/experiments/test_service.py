@@ -2,9 +2,8 @@
 
 Covers the service's admission control, job lifecycle, NDJSON wire
 protocol, and warm-store replay guarantee, plus regression tests for
-the three pool/store fixes that made long-lived processes safe:
-signal-tolerant pool teardown, cost-model warm start from the store
-sidecar, and the validating backfill probe.
+the fixes that made long-lived processes safe: signal-tolerant pool
+teardown, idle worker reaping, and the validating backfill probe.
 """
 
 from __future__ import annotations
@@ -17,24 +16,19 @@ import subprocess
 import sys
 import threading
 import time
-from multiprocessing.shared_memory import SharedMemory
 from pathlib import Path
 
 import pytest
 
-from repro.errors import AdmissionError, ServiceError
+from repro.errors import AdmissionError, ConfigError, ServiceError
 from repro.experiments import ALL_EXPERIMENTS, run_table2, run_table3
 from repro.experiments.client import ServiceClient
 from repro.experiments.pool import (
-    COST_SIDECAR,
     PersistentPool,
-    _CellCost,
-    cost_key,
     current_pool,
-    load_costs,
-    save_costs,
     shutdown_pool,
 )
+from repro.experiments import runner
 from repro.experiments.runner import (
     ExperimentResult,
     replay_session,
@@ -149,6 +143,10 @@ class TestAdmissionControl:
         svc = SweepService(ServiceConfig())
         with pytest.raises(ServiceError, match="unknown experiment"):
             svc.submit("a", "nope")
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="jobs"):
+            SweepService(ServiceConfig(jobs=0))
 
     def test_reserved_params_rejected(self):
         svc = SweepService(ServiceConfig())
@@ -437,44 +435,98 @@ class TestWireProtocol:
         assert to_csv(back) == to_csv(direct)
 
 
+def _pid_cell(a: int, b: int) -> int:
+    return os.getpid()
+
+
+def _live_children(pid: int) -> set[int]:
+    """Pids of the live (non-zombie) processes whose parent is ``pid``."""
+    children = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:
+            continue
+        state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+        if int(ppid) == pid and state != "Z":
+            children.add(int(entry))
+    return children
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie awaiting its reaper does not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc"), reason="reads process state from /proc"
+)
 class TestSignalSafeTeardown:
-    def test_shutdown_unlinks_rings_after_worker_death(self):
+    def test_shutdown_after_worker_death(self):
         pool = PersistentPool(2)
-        pool.map(_cost_cell, [(i, 1) for i in range(8)])
-        workers = list(pool._workers)
-        assert workers
-        names = [w.shm.name for w in workers]
-        for worker in workers:
-            worker.process.kill()
-            worker.process.join()
+        pids = set(pool.map(_pid_cell, [(i, 1) for i in range(8)]))
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
         pool.shutdown()
         pool.shutdown()  # idempotent
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                SharedMemory(name=name)
-
-    def test_idle_reap_retires_quiet_workers(self):
-        pool = PersistentPool(2, idle_reap_s=0.05)
+        assert not any(_alive(pid) for pid in pids)
+        # A shut-down pool starts fresh workers on demand.
         serial = [_cost_cell(i, 1) for i in range(8)]
         assert pool.map(_cost_cell, [(i, 1) for i in range(8)]) == serial
-        assert pool._workers
+        pool.shutdown()
+
+    def test_idle_reap_retires_quiet_workers(self):
+        pool = PersistentPool(2)
+        serial = [_cost_cell(i, 1) for i in range(8)]
+        assert pool.map(_cost_cell, [(i, 1) for i in range(8)]) == serial
+        pids = set(pool.map(_pid_cell, [(i, 1) for i in range(8)]))
         time.sleep(0.12)
-        assert pool.reap_idle() >= 1
-        assert not pool._workers
+        assert pool.reap_idle(0.05) is True
+        assert not any(_alive(pid) for pid in pids)
+        assert pool.reap_idle(0.05) is False  # nothing left to reap
         # The pool respawns on demand and stays bit-identical.
         assert pool.map(_cost_cell, [(i, 1) for i in range(8)]) == serial
         pool.shutdown()
 
     def test_reap_idle_spares_recently_used_pool(self):
-        pool = PersistentPool(2, idle_reap_s=3600.0)
-        pool.map(_cost_cell, [(1, 1)])
-        assert pool.reap_idle() == 0
-        assert pool._workers
+        pool = PersistentPool(2)
+        pids = set(pool.map(_pid_cell, [(1, 1)]))
+        assert pool.reap_idle(3600.0) is False
+        assert all(_alive(pid) for pid in pids)
         pool.shutdown()
 
+    def test_drain_stops_pool_workers(self, monkeypatch):
+        # An empty memo, so energy's cells cannot be served from what
+        # earlier tests in this process computed.
+        monkeypatch.setattr(runner, "_SWEEP_MEMO", {})
+
+        async def scenario():
+            svc = SweepService(ServiceConfig(jobs=2))
+            await svc.start()
+            job = svc.submit("a", "energy")
+            await asyncio.wait_for(job.done.wait(), timeout=60)
+            assert job.state == "done", job.error
+            pool = current_pool()
+            assert pool is not None  # energy's cells reached the pool
+            pids = set(pool.map(_pid_cell, [(i, 1) for i in range(4)]))
+            await svc.drain()
+            return pids
+
+        pids = asyncio.run(scenario())
+        assert current_pool() is None
+        assert not any(_alive(pid) for pid in pids)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="no /dev/shm on this platform"
+    )
     def test_serve_sigterm_drains_without_shm_leak(self, tmp_path):
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no /dev/shm on this platform")
         before = set(os.listdir("/dev/shm"))
         env = dict(os.environ)
         env["PYTHONPATH"] = str(
@@ -494,10 +546,12 @@ class TestSignalSafeTeardown:
             line = proc.stderr.readline()
             assert "listening on" in line, line
             port = int(line.rsplit(":", 1)[1])
-            # figure7 supports jobs, so this forks pool workers and
-            # creates their /dev/shm rings inside the server.
-            response = _submit_blocking(port, "figure7", "a")
-            assert response["state"] == "done"
+            # faults sends its cells to the worker pool (figure7's are
+            # all evaluated in-process), so the server starts workers.
+            response = _submit_blocking(port, "faults", "a")
+            assert response["state"] == "done", response
+            children = _live_children(proc.pid)
+            assert children, "faults started no pool workers"
             proc.send_signal(signal.SIGTERM)
             _, err = proc.communicate(timeout=60)
         finally:
@@ -511,89 +565,12 @@ class TestSignalSafeTeardown:
             if n.startswith("psm_")
         }
         assert leaked == set()
-
-
-class TestCostModelSidecar:
-    def test_sidecar_roundtrip(self, tmp_path):
-        costs = {"f": _CellCost(mean_s=0.01, max_s=0.04, chunks=3)}
-        assert save_costs(tmp_path, costs)
-        back = load_costs(tmp_path)
-        assert back["f"].mean_s == 0.01
-        assert back["f"].max_s == 0.04
-        assert back["f"].chunks == 3
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "{not json",
-            '{"schema": 999, "costs": {"f": {}}}',
-            '{"schema": 1, "costs": {"f": {"mean_s": -1, '
-            '"max_s": 1, "chunks": 1}}}',
-            '{"schema": 1, "costs": {"f": {"mean_s": true, '
-            '"max_s": 1, "chunks": 1}}}',
-            '{"schema": 1, "costs": "nope"}',
-            "[]",
-        ],
-    )
-    def test_corrupt_sidecar_reads_empty(self, tmp_path, text):
-        (tmp_path / COST_SIDECAR).write_text(text)
-        assert load_costs(tmp_path) == {}
-
-    def test_missing_sidecar_reads_empty(self, tmp_path):
-        assert load_costs(tmp_path) == {}
-
-    def test_warm_seeds_only_cold_entries_once(self, tmp_path):
-        save_costs(tmp_path, {
-            "warm": _CellCost(mean_s=0.5, max_s=0.5, chunks=5),
-            "cold": _CellCost(mean_s=0.25, max_s=0.25, chunks=7),
-        })
-        pool = PersistentPool(2)
-        pool._cell_cost["warm"] = _CellCost(
-            mean_s=9.0, max_s=9.0, chunks=99
-        )
-        assert pool.warm_costs(tmp_path) == 1  # only "cold" seeded
-        # A live in-process measurement outranks the sidecar.
-        assert pool._cell_cost["warm"].mean_s == 9.0
-        assert pool._cell_cost["cold"].chunks == 7
-        # Each sidecar is consulted once per pool.
-        assert pool.warm_costs(tmp_path) == 0
-        pool.shutdown()
-
-    def test_persist_empty_model_is_noop(self, tmp_path):
-        pool = PersistentPool(2)
-        assert pool.persist_costs(tmp_path) is False
-        assert not (tmp_path / COST_SIDECAR).exists()
-        pool.shutdown()
-
-    def test_sweep_persists_and_next_process_warm_starts(self, tmp_path):
-        """Regression: the EWMA model survives across 'processes'."""
-        cells_a = [(i, 1) for i in range(8)]
-        sweep_map(
-            _cost_cell, cells_a, jobs=2, memo={}, store=str(tmp_path),
-            pool="persistent",
-        )
-        sidecar = load_costs(tmp_path)
-        key = cost_key(_cost_cell)
-        assert key in sidecar  # runner persisted after the sweep
-        assert sidecar[key].chunks >= 1
-
-        # Simulate a new process: fresh pool, sentinel chunk count in
-        # the sidecar proves the runner seeded the cold model from it.
-        shutdown_pool()
-        planted = sidecar[key]
-        planted.chunks = 7777
-        save_costs(tmp_path, {key: planted})
-        cells_b = [(i, 2) for i in range(8)]
-        out = sweep_map(
-            _cost_cell, cells_b, jobs=2, memo={}, store=str(tmp_path),
-            pool="persistent",
-        )
-        assert out == [_cost_cell(*c) for c in cells_b]
-        pool = current_pool()
-        assert pool is not None
-        assert pool._cell_cost[key].chunks > 7777
-        # ... and this process's observations were persisted in turn.
-        assert load_costs(tmp_path)[key].chunks > 7777
+        # Helpers such as the resource tracker exit once the server
+        # closes their pipe; give them a moment, then nothing may live.
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and any(map(_alive, children)):
+            time.sleep(0.05)
+        assert not {pid for pid in children if _alive(pid)}
 
 
 class TestValidatingProbe:

@@ -75,10 +75,6 @@ class TestSweepMap:
         with pytest.raises(ConfigError):
             sweep_map(_cell, [(1, 1)], jobs=0)
 
-    def test_bad_pool_rejected(self):
-        with pytest.raises(ConfigError, match="pool"):
-            sweep_map(_cell, [(1, 1)], pool="threads")
-
     def test_duplicate_cells_computed_once(self):
         CALLS.clear()
         out = sweep_map(_cell, [(7, 7), (7, 7), (8, 8), (7, 7)], memo={})

@@ -88,11 +88,27 @@ class TestMesh:
 
     def test_distance_is_manhattan_on_grid(self):
         t = KNLTopology()
-        a, b = t.tiles[0], t.tiles[10]
-        expected = abs(a.position[0] - b.position[0]) + abs(
-            a.position[1] - b.position[1]
-        )
-        assert t.mesh_distance(0, 10) == expected
+        for a in t.tiles:
+            for b in t.tiles:
+                (ra, ca), (rb, cb) = a.position, b.position
+                expected = abs(ra - rb) + abs(ca - cb)
+                assert t.mesh_distance(a.tile_id, b.tile_id) == expected
+
+    def test_tiles_fill_grid_row_major(self):
+        t = KNLTopology(rows=3, cols=5, active_tiles=11)
+        assert [tile.position for tile in t.tiles] == [
+            (r, c) for r in range(3) for c in range(5)
+        ][:11]
+
+    @pytest.mark.parametrize(
+        "kwargs, mean",
+        [
+            ({}, 3.93048128342246),
+            ({"rows": 3, "cols": 5, "active_tiles": 11}, 2.5454545454545454),
+        ],
+    )
+    def test_mean_distance_pinned(self, kwargs, mean):
+        assert KNLTopology(**kwargs).mean_mesh_distance() == mean
 
     def test_distance_symmetric(self):
         t = KNLTopology()
