@@ -6,10 +6,11 @@ pool fanning the same figure7-class cells across workers that rebuild
 node + plan per cell. The acceptance bar: the tensor evaluation is at
 least 10x faster than the pool, bit-identically.
 
-Per-cell plan *construction* is deliberately outside the tensor-side
-timed region: ``sweep_map`` builds plans once per pending cell on
-either path, so the backends differ exactly in how built plans are
-evaluated — that difference is what these benchmarks pin.
+Per-cell plan *construction* is deliberately outside that tensor-side
+timed region, so :func:`test_bench_sweep_lowered` times the whole path
+a sweep takes as well: the same 64 cells from node and pipeline through
+:meth:`BufferedPipeline.lower` to one evaluated tensor
+(:func:`evaluate_plan_batch`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ from repro.core.chunking import Chunker
 from repro.core.kernel import StreamKernel
 from repro.core.modes import UsageMode
 from repro.experiments.pool import get_pool, shutdown_pool
-from repro.simknl.batch import lower_plans, run_lowered
+from repro.simknl.batch import (
+    PlanBatch,
+    PlanBatchSpec,
+    evaluate_plan_batch,
+    lower_plans,
+    run_lowered,
+)
 from repro.simknl.engine import Engine
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
 from repro.threads.pool import PoolSet
@@ -81,6 +88,26 @@ def test_bench_sweep_tensor(benchmark):
     assert warm is not None
     results = benchmark(run_lowered, engine, lowered, tensor)
     assert [r.elapsed for r in results] == [r.elapsed for r in warm]
+
+
+def _lowered_cell(nbytes: int) -> PlanBatch:
+    pipe = _pipeline(nbytes)
+    return PlanBatch(
+        resources=tuple(pipe.node.resources()),
+        plans=(pipe.lower(),),
+        finish=lambda runs: runs[0].elapsed,
+    )
+
+
+def test_bench_sweep_lowered(benchmark):
+    """Construction included: node, pipeline, closed-form lowering and
+    one tensor evaluation for all 64 cells."""
+    spec = PlanBatchSpec(build=_lowered_cell)
+    engine, lowered, tensor = _build_lowered()
+    want = [r.elapsed for r in run_lowered(engine, lowered, tensor)]
+    results, leftovers = benchmark(evaluate_plan_batch, spec, CELLS)
+    assert leftovers == []
+    assert results == want
 
 
 def test_bench_sweep_pool(benchmark):

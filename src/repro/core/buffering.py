@@ -25,6 +25,7 @@ from repro.core.modes import UsageMode, compute_multipliers, validate_node_mode
 from repro.memkind.allocator import Allocation, Heap
 from repro.memkind.kinds import MEMKIND_HBW
 from repro.model.params import ModelParams
+from repro.simknl.batch import LoweredPlan, lower_phases
 from repro.simknl.engine import Phase, Plan, RunResult
 from repro.simknl.flows import Flow
 from repro.simknl.node import KNLNode
@@ -248,9 +249,8 @@ class BufferedPipeline:
         """Build the plan without executing it, with :meth:`run`'s exact
         buffer accounting: buffers are allocated — surfacing the same
         :class:`~repro.errors.CapacityError` an over-committed
-        configuration raises — and released again. The cross-cell sweep
-        lowering (:mod:`repro.simknl.batch`) uses this to collect many
-        cells' plans before one tensor evaluation.
+        configuration raises — and released again. :meth:`lower` is the
+        closed-form equivalent the sweep drivers use.
         """
         own_heap = heap or Heap(self.node)
         self.allocate_buffers(own_heap)
@@ -258,6 +258,77 @@ class BufferedPipeline:
             return self.build_plan()
         finally:
             self.release_buffers(own_heap)
+
+    def lower(self, heap: Heap | None = None) -> LoweredPlan:
+        """Lower the plan in closed form, with :meth:`prepare`'s buffer
+        accounting (same :class:`~repro.errors.CapacityError`).
+
+        Equal to ``lower_plan(self.prepare())`` — same template key,
+        bit-equal bytes row — but built from the chunk geometry alone:
+        one template flow per (role, chunk size) and no phase or flow
+        per step, so its cost does not grow with the chunk count (the
+        unbuffered layout still walks its chunks once).
+        """
+        own_heap = heap or Heap(self.node)
+        self.allocate_buffers(own_heap)
+        try:
+            return self._lower()
+        finally:
+            self.release_buffers(own_heap)
+
+    def _lower(self) -> LoweredPlan:
+        n = self.chunker.num_chunks
+        full = self.chunker.chunk_bytes
+        sizes = (full, self.chunker.total_bytes - (n - 1) * full)
+        flows: dict[tuple[str, bool], Flow] = {}
+
+        def live(role: str, chunk: int) -> list[Flow]:
+            """The role's template flow for chunk ``chunk``, if live."""
+            last = chunk == n - 1
+            f = flows.get((role, last))
+            if f is None:
+                size = sizes[last]
+                if role == "in":
+                    f = self._copy_in_flow(size, "copy-in")
+                elif role == "out":
+                    f = self._copy_out_flow(size, "copy-out")
+                else:
+                    f = self._compute_flow(size, "compute", True)
+                if f.bytes_total > 0 and f.rate_cap <= 0:
+                    self.build_plan().validate()  # raises the plan's error
+                flows[role, last] = f
+            return [f] if f.bytes_total > 0 else []
+
+        def phases():
+            explicit = self.mode in (UsageMode.FLAT, UsageMode.HYBRID)
+            if explicit and self.buffered:
+                # Step s copies chunk s in, computes chunk s-1 and
+                # copies chunk s-2 out; the step's live flows change
+                # only at these cuts.
+                cuts = sorted(
+                    {c for c in (0, 1, 2, n - 1, n, n + 1) if c >= 0}
+                    | {n + 2}
+                )
+                for a, b in zip(cuts, cuts[1:]):
+                    step = []
+                    if a < n:
+                        step += live("in", a)
+                    if 1 <= a <= n:
+                        step += live("compute", a - 1)
+                    if 2 <= a:
+                        step += live("out", a - 2)
+                    yield True, step, [f.bytes_total for f in step], b - a
+            elif explicit:
+                for c in range(n):
+                    for role in ("in", "compute", "out"):
+                        step = live(role, c)
+                        yield False, step, [f.bytes_total for f in step], 1
+            else:
+                for c, count in ((0, n - 1), (n - 1, 1)):
+                    step = live("compute", c)
+                    yield False, step, [f.bytes_total for f in step], count
+
+        return lower_phases(phases(), self.build_plan)
 
     def run(self, heap: Heap | None = None) -> PipelineResult:
         """Allocate buffers, execute the plan, release buffers."""

@@ -62,7 +62,7 @@ def _figure8_batch(r: int, p: int, total_threads: int) -> PlanBatch:
     )
     return PlanBatch(
         resources=tuple(node.resources()),
-        plans=(pipe.prepare(),),
+        plans=(pipe.lower(),),
         finish=lambda runs: (model_t, runs[0].elapsed),
     )
 

@@ -6,9 +6,11 @@ space — usage mode, chunk size, copy-thread split, and a hypothetical
 MCDRAM bandwidth scaling — runs every configuration on the simulated
 node, prices each run with the energy model (faster MCDRAM stacks pay
 proportionally more idle power), and reports the Pareto front over
-(time, joules, EDP). The whole sweep lowers to the cross-cell tensor
-path: every cell is a static- or dynamic-phase pipeline plan, so
-structurally identical cells evaluate as one NumPy batch.
+(time, joules, EDP). Every cell's pipeline lowers in closed form
+(:meth:`BufferedPipeline.lower`) to the cross-cell tensor path. No two
+of the 51 default cells share a structure — each (mode, chunk size,
+copy threads) differs, and each MCDRAM scaling is its own node — so
+every cell is a one-row tensor, evaluated run by run.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def _pareto_batch(
     )
     return PlanBatch(
         resources=tuple(pipe.node.resources()),
-        plans=(pipe.prepare(),),
+        plans=(pipe.lower(),),
         finish=lambda runs: (runs[0].elapsed, dict(runs[0].traffic)),
     )
 

@@ -42,6 +42,7 @@ force :func:`sweep_map` into serial in-process execution.
 from __future__ import annotations
 
 import asyncio
+import inspect
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -91,6 +92,16 @@ DEFAULT_CELL_WEIGHT = 16
 
 #: Infra kwargs the service owns; client params may not override them.
 _RESERVED_PARAMS = frozenset({"jobs", "store"})
+
+
+def _accepted_params(experiment: str) -> frozenset[str] | None:
+    """Wire ``params`` keys a driver takes: its keyword parameters less
+    the service-owned ones, plus ``seed``, which deterministic drivers
+    ignore (as the CLI does). None when the driver takes ``**kwargs``."""
+    params = inspect.signature(ALL_EXPERIMENTS[experiment]).parameters
+    if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+        return None
+    return frozenset(params).union({"seed"}) - _RESERVED_PARAMS
 
 
 @dataclass(frozen=True)
@@ -336,6 +347,13 @@ class SweepService:
             raise ServiceError(
                 f"params {sorted(reserved)} are service-owned; configure "
                 "them on the server, not per submission"
+            )
+        accepted = _accepted_params(experiment)
+        unknown = set() if accepted is None else set(params) - accepted
+        if unknown:
+            raise ServiceError(
+                f"unknown params {sorted(unknown)} for {experiment!r}: "
+                f"accepted are {sorted(accepted)}"
             )
         job_id = job_id_for(tenant, experiment, params)
         existing = self.jobs.get(job_id)

@@ -44,7 +44,7 @@ def _table3_batch(r: int, total_threads: int) -> PlanBatch:
             MergeBenchConfig(
                 repeats=r, copy_in_threads=p, total_threads=total_threads
             ),
-        ).prepare()
+        ).lower()
         for p in _CANDIDATES
     ]
 

@@ -6,37 +6,55 @@ that differ only in sizes and rates over a structurally identical plan.
 exploits it *across* cells: N plans with the same phase structure and
 live-flow signatures (only ``bytes_total`` varying) are stacked into
 one ``(cells x live-flow-slots)`` bytes tensor and evaluated with a
-handful of vectorized ops — one water-filling solve per shared flow
-structure, broadcast per-cell phase times, cumsum traffic accumulation.
+handful of vectorized ops.
+
+A plan is *lowered* to a :class:`LoweredSweep` template plus one bytes
+row. The template segments the phases into *runs*, the maximal
+stretches of consecutive phases one vectorized op covers:
+
+* a **block** is ``count`` phases with the same two or more live-flow
+  signatures. A static block is one water-filling solve and a row-max
+  over a ``(cells, count, k)`` array; a dynamic block is one
+  :func:`batched_dynamic` call on ``cells * count`` rows;
+* a **singles** run is consecutive phases with at most one live flow
+  each, whatever their signatures. Their solved rates form a vector
+  ``r``: each phase takes ``b / r`` and moves ``b`` (static) or
+  ``r * (b / r)`` (dynamic, followed by the reference loop's
+  completion check). Phases with no live flow take zero time.
 
 Bit-identity with per-cell :meth:`Engine.run` is preserved by the same
-arguments PR 3/5 used (the per-cell loop remains the reference oracle):
+arguments the within-plan groups use (the per-cell loop remains the
+reference oracle):
 
 * a memoized water-filling solve is positionally bit-identical to a
   re-solve for equal structural signatures;
 * ``max``/``min`` folds over floats are exact, and ``np.cumsum``'s
   strict left-to-right association reproduces the reference ``+=``
-  chains bit for bit;
+  chains bit for bit when the chains are laid out phase-major, as they
+  are here;
 * zero-padding is bitwise neutral — ``x + 0.0 == x`` for the finite
   non-negative totals the engine accumulates — which is what lets
-  rectangular arrays cover cells/phases whose flows finish early.
+  rectangular arrays cover rows whose flows finish early.
 
 Anything the tensor cannot express — fault injectors, phase hooks, an
 active telemetry session, event recording, starved allocations, rounds
-where some phase completes no flow — falls back to the reference path,
-per segment for within-plan groups and per plan for cross-cell batches.
+where some phase completes no flow — declines, and the plans are re-run
+on the reference path, which raises the exact
+:class:`~repro.errors.SimulationError` a serial caller would see.
 
 :func:`evaluate_plan_batch` is the sweep-level entry point used by
 ``experiments.runner.sweep_map``: drivers declare structural
 batchability by attaching a :class:`PlanBatchSpec` to their cell
-function, whose ``build`` lowers one cell to plans plus a ``finish``
-post-processor.
+function, whose ``build`` lowers one cell to plans (or to
+:class:`LoweredPlan` directly, as
+:meth:`repro.core.buffering.BufferedPipeline.lower` does) plus a
+``finish`` post-processor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -48,11 +66,13 @@ from repro.telemetry import runtime as _tm
 __all__ = [
     "PlanBatch",
     "PlanBatchSpec",
+    "LoweredPlan",
     "LoweredSweep",
     "batched_dynamic",
     "evaluate_plan_batch",
+    "lower_phases",
+    "lower_plan",
     "lower_plans",
-    "lower_template",
     "run_batch",
     "run_lowered",
 ]
@@ -113,16 +133,18 @@ def batched_dynamic(
     chains: dict[str, list[np.ndarray]] = {name: [] for name, _, _ in res_cols}
 
     for _ in range(k):
-        active = alive.any(axis=1)
-        if not active.any():
+        active = np.nonzero(alive.any(axis=1))[0]
+        if active.size == 0:
             break
         moved_round = np.zeros((n, k), dtype=np.float64)
         dt_round = np.zeros(n, dtype=np.float64)
-        groups: dict[bytes, list[int]] = {}
-        for i in np.nonzero(active)[0]:
-            groups.setdefault(alive[i].tobytes(), []).append(int(i))
-        for mask_key, rows in groups.items():
-            idx = np.nonzero(np.frombuffer(mask_key, dtype=bool))[0]
+        masks, inverse = np.unique(
+            alive[active], axis=0, return_inverse=True
+        )
+        inverse = inverse.reshape(-1)
+        for g, mask in enumerate(masks):
+            rows = active[inverse == g] if len(masks) > 1 else active
+            idx = np.nonzero(mask)[0]
             rates = np.asarray(
                 allocate([flows[j] for j in idx]), dtype=np.float64
             )
@@ -132,6 +154,8 @@ def batched_dynamic(
             cells = np.ix_(rows, idx)
             sub_rem = rem[cells]
             dt = (sub_rem[:, pos] / rates[pos]).min(axis=1)
+            if not np.isfinite(dt).all():
+                return None  # no finite step: reference raises
             moved = rates * dt[:, None]
             new_rem = np.maximum(0.0, sub_rem - moved)
             finished = new_rem <= thresh[cells]
@@ -155,70 +179,270 @@ def batched_dynamic(
     return elapsed, out
 
 
-# ---- cross-cell lowering ------------------------------------------------
+# ---- runs ---------------------------------------------------------------
+
+#: ``chains[resource]`` collects ``(cells, m)`` traffic contributions in
+#: the reference loop's accumulation order.
+_Chains = dict[str, list[np.ndarray]]
 
 
 @dataclass
-class _LoweredPhase:
-    """One template phase: its live flows, the ``[lo, hi)`` column slice
-    they occupy in the bytes tensor, and the per-resource columns."""
+class _Block:
+    """``count`` consecutive phases sharing ``k >= 2`` live-flow
+    signatures: phases ``[start, start + count)``, tensor columns
+    ``[lo, lo + count * k)`` phase-major."""
 
     static: bool
     flows: list[Flow]
+    sigs: tuple
+    start: int
+    count: int
     lo: int
-    hi: int
-    resource_cols: list[tuple[str, list[int], np.ndarray]]
+
+    def key(self) -> tuple:
+        return ("block", self.static, self.sigs, self.count)
+
+    def evaluate(
+        self, engine: Engine, tensor: np.ndarray, times: np.ndarray,
+        chains: _Chains,
+    ) -> bool:
+        cells = tensor.shape[0]
+        k = len(self.flows)
+        sub = tensor[:, self.lo:self.lo + self.count * k].reshape(
+            cells, self.count, k
+        )
+        span = slice(self.start, self.start + self.count)
+        if self.static:
+            rates = np.asarray(engine._allocate(self.flows), dtype=np.float64)
+            if np.any(rates <= 0.0):
+                return False  # starved static flow: reference raises
+            times[:, span] = (sub / rates).max(axis=2)
+            for name, cols, mults in _resource_columns(self.flows):
+                chains[name].append(
+                    (sub[:, :, cols] * mults).reshape(cells, -1)
+                )
+            return True
+        out = batched_dynamic(
+            self.flows, sub.reshape(cells * self.count, k), engine._allocate
+        )
+        if out is None:
+            return False
+        times[:, span] = out[0].reshape(cells, self.count)
+        for name, chain in out[1]:
+            chains[name].append(chain.reshape(cells, -1))
+        return True
+
+
+@dataclass
+class _Segment:
+    """``count`` consecutive phases of a singles run with the same
+    ``(static, signature)``; ``flow`` is None when they have no live
+    flow."""
+
+    static: bool | None
+    flow: Flow | None
+    sig: tuple | None
+    count: int
+
+
+@dataclass
+class _Singles:
+    """Consecutive phases with at most one live flow each, from phase
+    ``start``; the live ones own tensor columns ``[lo, lo + live)``."""
+
+    start: int
+    lo: int
+    segments: list[_Segment] = field(default_factory=list)
+
+    def key(self) -> tuple:
+        return ("singles",) + tuple(
+            (s.static, s.sig, s.count) for s in self.segments
+        )
+
+    def evaluate(
+        self, engine: Engine, tensor: np.ndarray, times: np.ndarray,
+        chains: _Chains,
+    ) -> bool:
+        live = [s for s in self.segments if s.flow is not None]
+        if not live:
+            return True  # only empty phases: zero time, no traffic
+        counts = [s.count for s in live]
+        width = sum(counts)
+        solved: dict[tuple, float] = {}
+        for s in live:
+            if s.sig not in solved:
+                solved[s.sig] = engine._allocate([s.flow])[0]
+        rates = np.array([solved[s.sig] for s in live], dtype=np.float64)
+        if np.any(rates <= 0.0):
+            return False  # starved flow: reference raises
+        b = tensor[:, self.lo:self.lo + width]
+        r = np.repeat(rates, counts)
+        t = b / r
+        static = [s.static for s in live]
+        if all(static):
+            moved = b
+        else:
+            moved = r * t
+            if any(static):
+                moved = np.where(np.repeat(static, counts), b, moved)
+            # Static columns move ``b`` and pass trivially; a dynamic
+            # one must finish in one finite step, as in the reference.
+            left = np.maximum(0.0, b - moved)
+            if not (
+                np.isfinite(moved).all()
+                and (left <= _EPS * np.maximum(1.0, b)).all()
+            ):
+                return False  # no finite completing step: reference raises
+        if len(live) == len(self.segments):
+            times[:, self.start:self.start + width] = t
+        else:
+            has_flow = [s.flow is not None for s in self.segments]
+            phase_of = np.nonzero(
+                np.repeat(has_flow, [s.count for s in self.segments])
+            )[0]
+            times[:, self.start + phase_of] = t
+        names: dict[str, None] = {}
+        for s in live:
+            names.update(dict.fromkeys(s.flow.resources))
+        for name in names:
+            mults = np.repeat(
+                [s.flow.resources.get(name, 0.0) for s in live], counts
+            )
+            touch = [name in s.flow.resources for s in live]
+            if all(touch):
+                chains[name].append(moved * mults)
+            else:
+                cols = np.nonzero(np.repeat(touch, counts))[0]
+                chains[name].append(moved[:, cols] * mults[cols])
+        return True
+
+
+# ---- lowering -----------------------------------------------------------
 
 
 @dataclass
 class LoweredSweep:
-    """A sweep's shared shape: phase structure plus tensor layout.
+    """A sweep's shared shape: phase runs plus tensor layout.
 
     Pair with a ``(cells, width)`` bytes tensor — one row per cell, one
     column per live flow slot in plan order — and feed both to
-    :func:`run_lowered`.
+    :func:`run_lowered`. ``key`` identifies the shape: two plans whose
+    templates have equal keys (under equal resources) differ only in
+    their bytes rows, so their rows may share one tensor.
     """
 
-    structure: tuple
-    phases: list[_LoweredPhase]
+    runs: list
     width: int
+    phases: int
+    key: tuple = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.key = tuple(run.key() for run in self.runs)
 
 
-def lower_template(plan: Plan) -> LoweredSweep:
-    """Build the shared :class:`LoweredSweep` shape from one plan."""
-    phases: list[_LoweredPhase] = []
-    lo = 0
-    for ph in plan.phases:
-        live = [f for f in ph.flows if f.bytes_total > 0]
-        hi = lo + len(live)
-        phases.append(
-            _LoweredPhase(
-                ph.static_rates, live, lo, hi, _resource_columns(live)
-            )
-        )
-        lo = hi
-    return LoweredSweep(structure=plan.structure(), phases=phases, width=lo)
+@dataclass
+class LoweredPlan:
+    """One plan lowered: its template, its bytes row, and ``reference``,
+    which builds the equivalent :class:`Plan` for the reference path
+    (fallbacks and ineligible engines)."""
+
+    sweep: LoweredSweep
+    row: np.ndarray
+    reference: Callable[[], Plan]
+
+
+def lower_phases(
+    phases: Iterable[tuple[bool, Sequence[Flow], Sequence[float], int]],
+    reference: Callable[[], Plan],
+) -> LoweredPlan:
+    """Lower a compressed phase sequence.
+
+    Each entry ``(static, live_flows, nbytes, count)`` stands for
+    ``count`` consecutive phases with the given ``static_rates`` flag
+    whose live flows (``bytes_total > 0``, in plan order) are
+    ``live_flows`` with byte demands ``nbytes``. Consecutive entries
+    merge into maximal runs, so the template and its key do not depend
+    on how the sequence was compressed: a plan lowered phase by phase
+    and a closed-form lowering of the same plan agree.
+    """
+    runs: list = []
+    row: list[float] = []
+    start = 0
+    for static, flows, nbytes, count in phases:
+        if count <= 0:
+            continue
+        last = runs[-1] if runs else None
+        if len(flows) >= 2:
+            sigs = tuple(f.signature for f in flows)
+            if (
+                isinstance(last, _Block)
+                and last.static == static
+                and last.sigs == sigs
+            ):
+                last.count += count
+            else:
+                runs.append(
+                    _Block(static, list(flows), sigs, start, count, len(row))
+                )
+        else:
+            if not isinstance(last, _Singles):
+                last = _Singles(start, len(row))
+                runs.append(last)
+            if flows:
+                flow, seg_static, sig = flows[0], static, flows[0].signature
+            else:
+                flow = seg_static = sig = None
+            segs = last.segments
+            if segs and segs[-1].static == seg_static and segs[-1].sig == sig:
+                segs[-1].count += count
+            else:
+                segs.append(_Segment(seg_static, flow, sig, count))
+        row.extend(nbytes if count == 1 else list(nbytes) * count)
+        start += count
+    return LoweredPlan(
+        LoweredSweep(runs, len(row), start),
+        np.array(row, dtype=np.float64),
+        reference,
+    )
+
+
+def lower_plan(plan: Plan) -> LoweredPlan:
+    """Validate and lower one :class:`Plan`, phase by phase."""
+    plan.validate()
+
+    def phases():
+        for ph in plan.phases:
+            live = [f for f in ph.flows if f.bytes_total > 0]
+            yield ph.static_rates, live, [f.bytes_total for f in live], 1
+
+    return lower_phases(phases(), lambda: plan)
 
 
 def lower_plans(plans: Sequence[Plan]) -> tuple[LoweredSweep, np.ndarray]:
     """Stack N structurally identical plans into one bytes tensor.
 
-    The first plan is the structural template; each plan contributes
-    one tensor row of its live-flow byte demands in plan order. The
-    tensor is the sweep's entire variable state — ``cells x width``
-    float64, 8 bytes per live flow slot per cell.
+    Each plan contributes one tensor row of its live-flow byte demands
+    in plan order. The tensor is the sweep's entire variable state —
+    ``cells x width`` float64, 8 bytes per live flow slot per cell.
+    Raises :class:`~repro.errors.PlanError` when the plans' templates
+    differ.
     """
-    lowered = lower_template(plans[0])
-    tensor = np.empty((len(plans), lowered.width), dtype=np.float64)
-    for c, plan in enumerate(plans):
-        pos = 0
-        row = tensor[c]
-        for ph in plan.phases:
-            for f in ph.flows:
-                if f.bytes_total > 0:
-                    row[pos] = f.bytes_total
-                    pos += 1
-    return lowered, tensor
+    lowered = [lower_plan(p) for p in plans]
+    _check_shared(lowered, plans)
+    return lowered[0].sweep, np.stack([low.row for low in lowered])
+
+
+def _check_shared(lowered: Sequence[LoweredPlan], plans: Sequence[Plan]):
+    key = lowered[0].sweep.key
+    for low, p in zip(lowered[1:], plans[1:]):
+        if low.sweep.key != key:
+            raise PlanError(
+                f"run_batch: plan {p.name!r} does not share the batch's "
+                "phase structure"
+            )
+
+
+# ---- evaluation ---------------------------------------------------------
 
 
 def _engine_eligible(engine: Engine) -> bool:
@@ -239,13 +463,13 @@ def run_lowered(
 ) -> list[RunResult] | None:
     """Evaluate a lowered sweep: one :class:`RunResult` per tensor row.
 
-    This is the tensor evaluation proper — per phase one (memoized)
-    water-filling solve, per-cell phase times as a broadcast row-max
-    (static) or the segmented event batch (dynamic), elapsed clocks and
-    per-resource traffic as carry-in cumsums. Returns ``None`` when any
-    phase needs the reference path (starved rates, a no-completion
-    round, or a non-positive tensor entry, which would change liveness);
-    callers with the original plans fall back to per-cell ``run``.
+    This is the tensor evaluation proper — per run one vectorized
+    evaluation (see the module docstring), then elapsed clocks and
+    per-resource traffic as carry-in cumsums over the phase-major
+    chains. Returns ``None`` when any run needs the reference path
+    (starved rates, a no-completion round, or a non-positive tensor
+    entry, which would change liveness); callers with the original
+    plans fall back to per-cell ``run``.
 
     Raises :class:`~repro.errors.PlanError` if the engine itself is
     ineligible (injector, phase hooks, active telemetry, event
@@ -265,57 +489,51 @@ def run_lowered(
     if not (tensor > 0.0).all():
         return None  # a zero-byte slot changes liveness: reference path
     cells = tensor.shape[0]
-    times = np.zeros((cells, len(lowered.phases)), dtype=np.float64)
-    chains: dict[str, list[np.ndarray]] = {
-        name: [] for name in engine.resources
+    ticks = np.zeros((cells, lowered.phases + 1), dtype=np.float64)
+    times = ticks[:, 1:]
+    chains: _Chains = {name: [] for name in engine.resources}
+    for run in lowered.runs:
+        if not run.evaluate(engine, tensor, times, chains):
+            return None
+
+    elapsed = np.cumsum(ticks, axis=1)[:, -1].tolist()
+    zero = np.zeros((cells, 1), dtype=np.float64)
+    totals = {
+        name: np.cumsum(np.concatenate([zero, *parts], axis=1), axis=1)[
+            :, -1
+        ].tolist()
+        for name, parts in chains.items()
+        if parts
     }
-    for pi, ph in enumerate(lowered.phases):
-        if ph.hi == ph.lo:
-            continue  # no live flows: zero-time phase, no traffic
-        sub = tensor[:, ph.lo:ph.hi]
-        if ph.static:
-            rates = np.asarray(engine._allocate(ph.flows), dtype=np.float64)
-            if np.any(rates <= 0.0):
-                return None  # starved static flow: reference raises
-            times[:, pi] = (sub / rates).max(axis=1)
-            for name, cols, mults in ph.resource_cols:
-                chains[name].append(sub[:, cols] * mults)
-        else:
-            out = batched_dynamic(ph.flows, sub, engine._allocate)
-            if out is None:
-                return None
-            times[:, pi] = out[0]
-            for name, chain in out[1]:
-                chains[name].append(chain)
-
-    ticks = np.zeros((cells, len(lowered.phases) + 1), dtype=np.float64)
-    ticks[:, 1:] = times
-    elapsed = np.cumsum(ticks, axis=1)[:, -1]
-    totals: dict[str, np.ndarray] = {}
-    for name, parts in chains.items():
-        if not parts:
-            continue
-        chain = np.concatenate(
-            [np.zeros((cells, 1), dtype=np.float64), *parts], axis=1
+    phase_times = times.tolist()
+    return [
+        RunResult(
+            elapsed=elapsed[c],
+            traffic={
+                name: totals[name][c] if name in totals else 0.0
+                for name in engine.resources
+            },
+            phase_times=phase_times[c],
+            events=[],
+            faults=[],
         )
-        totals[name] = np.cumsum(chain, axis=1)[:, -1]
+        for c in range(cells)
+    ]
 
-    results = []
-    for c in range(cells):
-        traffic = {
-            name: float(totals[name][c]) if name in totals else 0.0
-            for name in engine.resources
-        }
-        results.append(
-            RunResult(
-                elapsed=float(elapsed[c]),
-                traffic=traffic,
-                phase_times=times[c].tolist(),
-                events=[],
-                faults=[],
-            )
-        )
-    return results
+
+def _run_lowered_group(
+    engine: Engine, lowered: Sequence[LoweredPlan]
+) -> list[RunResult]:
+    """Evaluate plans sharing one template on ``engine``, bit-identical
+    to ``Engine.run`` on each; declines re-run on the reference path."""
+    if _engine_eligible(engine):
+        rows = [low.row for low in lowered]
+        tensor = np.stack(rows) if len(rows) > 1 else rows[0][None, :]
+        results = run_lowered(engine, lowered[0].sweep, tensor)
+        if results is not None:
+            engine.batched_plans += len(lowered)
+            return results
+    return [engine.run(low.reference()) for low in lowered]
 
 
 def run_batch(engine: Engine, plans: Sequence[Plan]) -> list[RunResult]:
@@ -331,7 +549,7 @@ def run_batch(engine: Engine, plans: Sequence[Plan]) -> list[RunResult]:
     would have seen.
 
     Raises :class:`~repro.errors.PlanError` if the plans do not share
-    one phase structure (use :meth:`Plan.structure` to pre-group).
+    one phase structure.
     """
     plans = list(plans)
     if not plans:
@@ -340,19 +558,9 @@ def run_batch(engine: Engine, plans: Sequence[Plan]) -> list[RunResult]:
         p.validate()
     if len(plans) == 1 or not _engine_eligible(engine):
         return [engine.run(p) for p in plans]
-    structure = plans[0].structure()
-    for p in plans[1:]:
-        if p.structure() != structure:
-            raise PlanError(
-                f"run_batch: plan {p.name!r} does not share the batch's "
-                "phase structure"
-            )
-    lowered, tensor = lower_plans(plans)
-    results = run_lowered(engine, lowered, tensor)
-    if results is None:
-        return [engine.run(p) for p in plans]
-    engine.batched_plans += len(plans)
-    return results
+    lowered = [lower_plan(p) for p in plans]
+    _check_shared(lowered, plans)
+    return _run_lowered_group(engine, lowered)
 
 
 # ---- sweep integration --------------------------------------------------
@@ -369,14 +577,15 @@ class PlanBatch:
         engine is created per distinct resource tuple, so structurally
         identical cells share memoized solves).
     plans:
-        The plans whose runs the cell needs, in a fixed order.
+        The plans whose runs the cell needs, in a fixed order: each a
+        :class:`Plan` or an already :class:`LoweredPlan`.
     finish:
         Maps the plans' :class:`RunResult` list (same order) to the
         cell function's return value.
     """
 
     resources: Sequence[Resource]
-    plans: Sequence[Plan]
+    plans: Sequence[Plan | LoweredPlan]
     finish: Callable[[list[RunResult]], Any]
 
 
@@ -400,14 +609,14 @@ def evaluate_plan_batch(
 ) -> tuple[list[Any], list[int]]:
     """Evaluate sweep cells via cross-cell tensor batching.
 
-    Builds every cell's :class:`PlanBatch`, groups all resulting plans
-    by ``(resource tuple, plan structure)``, evaluates each group with
-    :func:`run_batch` on a shared per-resource-tuple engine, and feeds
-    each cell's results to its ``finish``. Returns ``(results,
-    leftover_indices)`` where ``results`` is aligned with ``cells``
-    (entries for leftover cells are ``None``) and ``leftover_indices``
-    names the cells whose ``build`` declined — the caller dispatches
-    those through the pool/serial path.
+    Builds every cell's :class:`PlanBatch`, lowers its plans, groups
+    them by ``(resource tuple, template key)``, evaluates each group —
+    singletons included — as one tensor on a shared per-resource-tuple
+    engine, and feeds each cell's results to its ``finish``. Returns
+    ``(results, leftover_indices)`` where ``results`` is aligned with
+    ``cells`` (entries for leftover cells are ``None``) and
+    ``leftover_indices`` names the cells whose ``build`` declined — the
+    caller dispatches those through the pool/serial path.
     """
     results: list[Any] = [None] * len(cells)
     leftovers: list[int] = []
@@ -420,7 +629,7 @@ def evaluate_plan_batch(
             built.append((i, item))
 
     engines: dict[tuple, Engine] = {}
-    groups: dict[tuple, list[tuple[int, int, Plan]]] = {}
+    groups: dict[tuple, list[tuple[int, int, LoweredPlan]]] = {}
     cell_runs: list[list[RunResult | None]] = []
     for bi, (_, item) in enumerate(built):
         engine_key = tuple((r.name, r.capacity) for r in item.resources)
@@ -428,11 +637,14 @@ def evaluate_plan_batch(
             engines[engine_key] = Engine(item.resources, record_events=False)
         cell_runs.append([None] * len(item.plans))
         for slot, plan in enumerate(item.plans):
-            key = (engine_key, plan.structure())
-            groups.setdefault(key, []).append((bi, slot, plan))
+            low = plan if isinstance(plan, LoweredPlan) else lower_plan(plan)
+            key = (engine_key, low.sweep.key)
+            groups.setdefault(key, []).append((bi, slot, low))
 
     for (engine_key, _), entries in groups.items():
-        outs = run_batch(engines[engine_key], [p for _, _, p in entries])
+        outs = _run_lowered_group(
+            engines[engine_key], [low for _, _, low in entries]
+        )
         for (bi, slot, _), out in zip(entries, outs):
             cell_runs[bi][slot] = out
 

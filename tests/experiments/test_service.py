@@ -87,10 +87,10 @@ def _entry_files(root: Path) -> list[Path]:
 class TestAdmissionControl:
     def test_queue_full_rejects_with_retry_after(self):
         svc = SweepService(ServiceConfig(max_queue=2, max_tenant_jobs=8))
-        svc.submit("a", "table2", {"i": 1})
-        svc.submit("a", "table2", {"i": 2})
+        svc.submit("a", "table2", {"seed": 1})
+        svc.submit("a", "table2", {"seed": 2})
         with pytest.raises(AdmissionError) as exc:
-            svc.submit("b", "table2", {"i": 3})
+            svc.submit("b", "table2", {"seed": 3})
         assert exc.value.reason == "queue_full"
         assert exc.value.retry_after_s > 0
         counter = svc.telemetry.metrics.counter(
@@ -102,12 +102,12 @@ class TestAdmissionControl:
         svc = SweepService(
             ServiceConfig(max_queue=8, max_tenant_jobs=1)
         )
-        svc.submit("alice", "table2", {"i": 1})
+        svc.submit("alice", "table2", {"seed": 1})
         with pytest.raises(AdmissionError) as exc:
-            svc.submit("alice", "table2", {"i": 2})
+            svc.submit("alice", "table2", {"seed": 2})
         assert exc.value.reason == "tenant_jobs"
         # Another tenant is unaffected by alice's quota.
-        svc.submit("bob", "table2", {"i": 2})
+        svc.submit("bob", "table2", {"seed": 2})
 
     def test_tenant_cell_budget(self):
         svc = SweepService(
@@ -117,15 +117,15 @@ class TestAdmissionControl:
                 max_tenant_cells=DEFAULT_CELL_WEIGHT,
             )
         )
-        svc.submit("alice", "adaptive", {"i": 1})
+        svc.submit("alice", "adaptive", {"seed": 1})
         with pytest.raises(AdmissionError) as exc:
-            svc.submit("alice", "adaptive", {"i": 2})
+            svc.submit("alice", "adaptive", {"seed": 2})
         assert exc.value.reason == "tenant_cells"
 
     def test_duplicate_inflight_submission_is_idempotent(self):
         svc = SweepService(ServiceConfig(max_queue=1))
-        first = svc.submit("a", "table2", {"i": 1})
-        again = svc.submit("a", "table2", {"i": 1})
+        first = svc.submit("a", "table2", {"seed": 1})
+        again = svc.submit("a", "table2", {"seed": 1})
         assert again is first  # no queue budget consumed
         admitted = svc.telemetry.metrics.counter(
             _tn.SERVICE_ADMITTED_TOTAL
@@ -152,6 +152,18 @@ class TestAdmissionControl:
         svc = SweepService(ServiceConfig())
         with pytest.raises(ServiceError, match="service-owned"):
             svc.submit("a", "table2", {"jobs": 8})
+
+    def test_unknown_params_rejected_at_admission(self):
+        svc = SweepService(ServiceConfig())
+        with pytest.raises(ServiceError, match=r"unknown params \['bogus'\]"):
+            svc.submit("a", "table2", {"bogus": 1})
+        with pytest.raises(ServiceError, match="'nope'"):
+            svc.submit("a", "figure7", {"n": 10**9, "nope": 2})
+        assert svc.jobs == {}
+        # Driver keywords and ``seed`` (ignored, as on the CLI) pass.
+        svc.submit("a", "table3", {"repeats": [1, 2]})
+        svc.submit("a", "table2", {"seed": 7})
+        assert len(svc.jobs) == 2
 
     def test_job_ids_deterministic_and_param_order_free(self):
         a = job_id_for("t", "figure7", {"x": 1, "y": 2})
@@ -298,6 +310,25 @@ class TestWireProtocol:
                 assert json.dumps(
                     response["result"], sort_keys=True
                 ) == json.dumps(direct[exp], sort_keys=True)
+
+        asyncio.run(scenario())
+
+    def test_unknown_params_rejected_over_the_wire(self):
+        async def scenario():
+            async with _Server(ServiceConfig()) as srv:
+                loop = asyncio.get_running_loop()
+
+                def submit_bogus():
+                    with ServiceClient("127.0.0.1", srv.port) as c:
+                        with pytest.raises(ServiceError) as exc:
+                            c.submit(
+                                "table2", tenant="a", params={"bogus": 1}
+                            )
+                        return exc.value
+
+                err = await loop.run_in_executor(None, submit_bogus)
+                assert "bogus" in str(err)
+                assert srv.service.jobs == {}
 
         asyncio.run(scenario())
 

@@ -8,7 +8,9 @@ keeps every phase on the per-phase reference loop, and these tests hold
 the two bit-identical — ``elapsed``, ``phase_times``, and ``traffic``
 — across strategies, odd-sized final chunks, and random plans, and
 assert the documented fallbacks (faults, telemetry, recorded events,
-dynamic-rate phases) really do bypass the batched path.
+dynamic-rate phases) really do bypass the batched path. The same plans
+are also held to the sweep evaluator (:func:`lower_plan` plus
+:func:`run_lowered`, run by run), which evaluates single plans too.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.core.kernel import StreamKernel
 from repro.core.multilevel import ThreeLevelConfig, ThreeLevelPipeline
 from repro.errors import SimulationError
 from repro.faults import FaultPlan
+from repro.simknl.batch import lower_plan, run_lowered
 from repro.simknl.engine import Engine, Phase, Plan
 from repro.simknl.flows import Flow, Resource
 from repro.simknl.node import KNLNode, KNLNodeConfig, MemoryMode
@@ -50,6 +53,14 @@ def assert_identical(a, b) -> None:
     assert a.traffic == b.traffic
 
 
+def runwise(plan: Plan, resources=RESOURCES):
+    """``plan`` on the sweep evaluator, as a one-row tensor."""
+    low = lower_plan(plan)
+    engine = Engine(resources, record_events=False)
+    (result,) = run_lowered(engine, low.sweep, low.row[None, :])
+    return result
+
+
 # ---- pipeline strategies, including odd-sized final chunks ---------------
 
 
@@ -73,6 +84,17 @@ def test_pipeline_strategies_bit_identical(strategy, data_bytes):
     fast, fast_groups = result(True)
     ref, ref_groups = result(False)
     assert_identical(fast, ref)
+    node = KNLNode(KNLNodeConfig(mode=MemoryMode.FLAT))
+    pipe = ThreeLevelPipeline(
+        node, StreamKernel(passes=3), ThreeLevelConfig(data_bytes=data_bytes)
+    )
+    assert_identical(
+        runwise(
+            pipe.build_plan(strategy),
+            [*node.resources(), pipe.nvm.resource()],
+        ),
+        ref,
+    )
     assert ref_groups == 0
     if strategy == "single":
         assert fast_groups >= 1  # the triple-buffered steady state
@@ -147,6 +169,7 @@ def test_random_plans_bit_identical(phases, repeats):
     plan = build_plan(phases, repeats)
     _, fast_res, _, ref_res = run_both(plan)
     assert_identical(fast_res, ref_res)
+    assert_identical(runwise(plan), ref_res)
 
 
 def test_zero_byte_flows_drop_out_of_structure():

@@ -1,13 +1,16 @@
 """Property tests pinning cross-cell tensor batching to per-cell runs.
 
 ``Engine.run_batch`` stacks N structurally identical plans into one
-bytes tensor and evaluates the whole sweep with vectorized NumPy ops.
-These tests hold it bit-identical — ``elapsed``, ``phase_times``,
-``traffic`` — to ``[engine.run(p) for p in plans]`` on a reference
-engine, across the three-level pipeline strategies (static ``single``
-and dynamic ``double``), odd cell counts, random mixed static/dynamic
-structures, and assert the documented fallbacks (faults, telemetry,
-starved allocations, zero-byte cells) really do bypass the tensor path.
+bytes tensor and evaluates the whole sweep run by run with vectorized
+NumPy ops. These tests hold it bit-identical — ``elapsed``,
+``phase_times``, ``traffic`` — to ``[engine.run(p) for p in plans]`` on
+a reference engine, across the three-level pipeline strategies (static
+``single`` and dynamic ``double``), odd cell counts, random mixed
+static/dynamic structures with repeated phases (so blocks and
+single-flow runs span many phases), and assert the documented fallbacks
+(faults, telemetry, starved allocations, zero-byte cells) really do
+bypass the tensor path. ``evaluate_plan_batch`` evaluates singleton
+groups on the same evaluator, never through ``Engine.run``.
 """
 
 from __future__ import annotations
@@ -119,24 +122,27 @@ flow_strategy = st.tuples(
 phase_strategy = st.tuples(
     st.booleans(),                                # static_rates
     st.lists(flow_strategy, min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=4),        # consecutive repeats
 )
 
 
 def build_cell_plan(structure, cell: int) -> Plan:
-    """One cell's plan: shared structure, bytes offset per cell."""
+    """One cell's plan: shared structure, bytes offset per cell and per
+    repeat of a phase."""
     plan = Plan(f"cell{cell}")
-    for p, (static, flows) in enumerate(structure):
-        fl = [
-            Flow(
-                f"f{p}.{i}",
-                threads,
-                rate * GB,
-                {"ddr": 1.0, extra: 0.5},
-                float(nbytes * GiB + cell * (p + i + 1)),
-            )
-            for i, (threads, rate, extra, nbytes) in enumerate(flows)
-        ]
-        plan.add(Phase(f"p{p}", fl, static_rates=static))
+    for p, (static, flows, repeats) in enumerate(structure):
+        for rep in range(repeats):
+            fl = [
+                Flow(
+                    f"f{p}.{i}",
+                    threads,
+                    rate * GB,
+                    {"ddr": 1.0, extra: 0.5},
+                    float(nbytes * GiB + cell * (p + i + 1) + 3 * rep),
+                )
+                for i, (threads, rate, extra, nbytes) in enumerate(flows)
+            ]
+            plan.add(Phase(f"p{p}.{rep}", fl, static_rates=static))
     return plan
 
 
@@ -152,6 +158,24 @@ def test_random_structures_bit_identical(structure, cells):
     assert engine.batched_plans == cells
     for got, ref in zip(results, reference_runs(plans)):
         assert_identical(got, ref)
+
+
+def test_singleton_groups_evaluate_runwise(monkeypatch):
+    """Cells whose plans share no structure each form a one-row tensor
+    on the run-wise evaluator; ``Engine.run`` is never called."""
+    spec = PlanBatchSpec(build=_spec_cell)
+    cells = [(8, float(GiB)), (16, float(3 * GiB)), (4, float(GiB + 8))]
+    want = [
+        reference_runs([_spec_cell(*c).plans[0]])[0].elapsed for c in cells
+    ]
+
+    def no_reference_run(self, plan):
+        raise AssertionError("singleton fell back to Engine.run")
+
+    monkeypatch.setattr(Engine, "run", no_reference_run)
+    results, leftovers = evaluate_plan_batch(spec, cells)
+    assert leftovers == []
+    assert results == want
 
 
 def test_mixed_static_dynamic_segments():
@@ -193,8 +217,8 @@ def test_mixed_static_dynamic_segments():
 
 
 def test_structure_mismatch_raises():
-    a = build_cell_plan([(True, [(8, 1.0, "ddr", 4)])], 0)
-    b = build_cell_plan([(True, [(16, 1.0, "ddr", 4)])], 1)  # threads differ
+    a = build_cell_plan([(True, [(8, 1.0, "ddr", 4)], 1)], 0)
+    b = build_cell_plan([(True, [(16, 1.0, "ddr", 4)], 1)], 1)  # threads differ
     with pytest.raises(PlanError, match="structure"):
         run_batch(fresh_engine(), [a, b])
 
@@ -260,6 +284,32 @@ def test_starved_allocation_raises_like_reference():
     engine = fresh_engine()
     engine._allocate = lambda live: [0.0] * len(live)
     with pytest.raises(SimulationError, match="starved"):
+        run_batch(engine, plans)
+    assert engine.batched_plans == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("flows", [1, 2])
+def test_infinite_dynamic_step_raises_like_reference(flows):
+    """A positive rate so small that ``bytes / rate`` overflows gives the
+    reference loop no finite step; the tensor must decline, not report
+    an infinite phase."""
+    plans = []
+    for c in range(3):
+        plan = Plan(f"inf{c}")
+        plan.add(
+            Phase(
+                "dyn",
+                [
+                    Flow(f"f{i}", 8, 1.0 * GB, {"ddr": 1.0}, float(GiB + c + i))
+                    for i in range(flows)
+                ],
+            )
+        )
+        plans.append(plan)
+    engine = fresh_engine()
+    engine._allocate = lambda live: [5e-324] * len(live)
+    with pytest.raises(SimulationError, match="starvation"):
         run_batch(engine, plans)
     assert engine.batched_plans == 0
 
