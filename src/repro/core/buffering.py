@@ -182,7 +182,11 @@ class BufferedPipeline:
     # ---- plan construction -------------------------------------------------
 
     def build_plan(self) -> Plan:
-        """Emit the step-by-step flow plan."""
+        """Emit the step-by-step flow plan.
+
+        :meth:`_lower` emits the same three layouts in closed form;
+        change the two schedules together.
+        """
         chunks = self.chunker.chunks()
         name = f"{self.kernel.name}/{self.mode.value}"
         plan = Plan(name=name)
@@ -245,6 +249,18 @@ class BufferedPipeline:
             )
         return plan
 
+    def _with_buffers(self, fn, heap: Heap | None = None):
+        """Call ``fn()`` with the buffers allocated on ``heap`` (or a
+        fresh heap on the node) — surfacing the
+        :class:`~repro.errors.CapacityError` an over-committed
+        configuration raises — and release them again."""
+        own_heap = heap or Heap(self.node)
+        self.allocate_buffers(own_heap)
+        try:
+            return fn()
+        finally:
+            self.release_buffers(own_heap)
+
     def prepare(self, heap: Heap | None = None) -> Plan:
         """Build the plan without executing it, with :meth:`run`'s exact
         buffer accounting: buffers are allocated — surfacing the same
@@ -252,14 +268,9 @@ class BufferedPipeline:
         configuration raises — and released again. :meth:`lower` is the
         closed-form equivalent the sweep drivers use.
         """
-        own_heap = heap or Heap(self.node)
-        self.allocate_buffers(own_heap)
-        try:
-            return self.build_plan()
-        finally:
-            self.release_buffers(own_heap)
+        return self._with_buffers(self.build_plan, heap)
 
-    def lower(self, heap: Heap | None = None) -> LoweredPlan:
+    def lower(self) -> LoweredPlan:
         """Lower the plan in closed form, with :meth:`prepare`'s buffer
         accounting (same :class:`~repro.errors.CapacityError`).
 
@@ -269,12 +280,7 @@ class BufferedPipeline:
         per step, so its cost does not grow with the chunk count (the
         unbuffered layout still walks its chunks once).
         """
-        own_heap = heap or Heap(self.node)
-        self.allocate_buffers(own_heap)
-        try:
-            return self._lower()
-        finally:
-            self.release_buffers(own_heap)
+        return self._with_buffers(self._lower)
 
     def _lower(self) -> LoweredPlan:
         n = self.chunker.num_chunks

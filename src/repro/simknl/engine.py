@@ -251,9 +251,12 @@ class Plan:
         """Per-phase ``(static_rates, live-flow signatures)`` tuple.
 
         Two plans with equal structures differ only in byte demands
-        (``bytes_total`` per flow), which is exactly the precondition
-        for cross-cell lowering (:func:`repro.simknl.batch.run_batch`).
-        Cached alongside :meth:`compile`; liveness (``bytes_total > 0``)
+        (``bytes_total`` per flow). Cross-cell batching no longer uses
+        it — :func:`repro.simknl.batch.run_batch` and
+        ``evaluate_plan_batch`` group by ``LoweredSweep.key`` — and it
+        is kept only because the end-to-end benchmark's span table
+        wraps it; delete it with that span. Cached like
+        :meth:`compile`; liveness (``bytes_total > 0``)
         is snapshotted at first call, so recompute with ``force=True``
         after mutating flow byte demands in place.
         """

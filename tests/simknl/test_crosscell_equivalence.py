@@ -27,6 +27,7 @@ from repro.simknl.batch import (
     PlanBatch,
     PlanBatchSpec,
     evaluate_plan_batch,
+    lower_plan,
     lower_plans,
     run_batch,
     run_lowered,
@@ -315,9 +316,9 @@ def test_infinite_dynamic_step_raises_like_reference(flows):
 
 
 def test_zero_byte_cell_changes_structure():
-    """Liveness (``bytes_total > 0``) is part of a plan's structure, so
+    """Liveness (``bytes_total > 0``) is part of a plan's template, so
     a zero-byte cell cannot ride a batch whose template expects the
-    flow live — callers must pre-group by :meth:`Plan.structure`
+    flow live — callers must pre-group by template key
     (``evaluate_plan_batch`` does)."""
     plans = simple_plans(3, nbytes=[float(GiB), 0.0, float(2 * GiB)])
     with pytest.raises(PlanError, match="structure"):
@@ -325,7 +326,7 @@ def test_zero_byte_cell_changes_structure():
     # Pre-grouped by structure, both groups evaluate bit-identically.
     groups: dict[tuple, list[Plan]] = {}
     for p in plans:
-        groups.setdefault(p.structure(), []).append(p)
+        groups.setdefault(lower_plan(p).sweep.key, []).append(p)
     assert len(groups) == 2
     for group in groups.values():
         engine = fresh_engine()
